@@ -27,10 +27,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
+from .linalg import unimodular_inverse
 from .lusztig import LusztigDatum, transition
 from .tiling import build_tiling
 from .words import (
     MAX_ENUM_RANK,
+    _right_multiply,
     cartan_pairing,
     compose,
     enumerate_reduced_words,
@@ -122,7 +124,7 @@ def validate_bz(z: BZDatum, seed: int = 0) -> dict:
 
     for sigma in perms:
         for a in range(1, n):
-            lhs = z.value(_image(sigma, a)) + z.value(_image(_right_mul(sigma, a), a))
+            lhs = z.value(_image(sigma, a)) + z.value(_image(_right_multiply(sigma, a), a))
             for b in range(1, n):
                 if b != a:
                     lhs += cartan_pairing(a, b) * z.value(_image(sigma, b))
@@ -132,23 +134,16 @@ def validate_bz(z: BZDatum, seed: int = 0) -> dict:
             for b in (a - 1, a + 1):
                 if not 1 <= b < n or not (sigma[a - 1] < sigma[a] and sigma[b - 1] < sigma[b]):
                     continue
-                sig_a = _right_mul(sigma, a)
-                sig_b = _right_mul(sigma, b)
+                sig_a = _right_multiply(sigma, a)
+                sig_b = _right_multiply(sigma, b)
                 lhs = z.value(_image(sig_a, a)) + z.value(_image(sig_b, b))
                 rhs = min(
-                    z.value(_image(sigma, a)) + z.value(_image(_right_mul(sig_a, b), b)),
-                    z.value(_image(sigma, b)) + z.value(_image(_right_mul(sig_b, a), a)),
+                    z.value(_image(sigma, a)) + z.value(_image(_right_multiply(sig_a, b), b)),
+                    z.value(_image(sigma, b)) + z.value(_image(_right_multiply(sig_b, a), a)),
                 )
                 if lhs != rhs:
                     failures.append(("pluecker", sigma, a, b, lhs, rhs))
     return {"n": n, "failures": failures, "ok": not failures}
-
-
-def _right_mul(perm: tuple[int, ...], a: int) -> tuple[int, ...]:
-    """perm * s_a in one-line notation (swap the values at positions a, a+1)."""
-    out = list(perm)
-    out[a - 1], out[a] = out[a], out[a - 1]
-    return tuple(out)
 
 
 def trop_chamber_ansatz(z: BZDatum, word) -> LusztigDatum:
@@ -180,11 +175,9 @@ def _vertex_solver(word: tuple[int, ...]):
     """Integer inverse of the tile system of a word's tiling.
 
     Unknowns are the vertex subsets that are not pinned to zero (the empty,
-    full, and suffix sets); one equation per tile.  The matrix is asserted
+    full, and suffix sets); one equation per tile.  The matrix is checked
     unimodular, so the inverse is integral and solutions are exact.
     """
-    from sympy import Matrix
-
     tiling = build_tiling(word)
     n = tiling.n
     fixed = {(), tuple(range(1, n + 1))}
@@ -206,12 +199,7 @@ def _vertex_solver(word: tuple[int, ...]):
             if key not in fixed:
                 row[index[key]] += coeff
         rows.append(row)
-    m = Matrix(rows)
-    det = m.det()
-    assert det in (1, -1), f"tile system of {word} is not unimodular (det {det})"
-    inv = m.inv()
-    inv_rows = tuple(tuple(int(c) for c in inv.row(i)) for i in range(len(unknowns)))
-    return tuple(unknowns), inv_rows
+    return tuple(unknowns), unimodular_inverse(rows)
 
 
 @lru_cache(maxsize=None)

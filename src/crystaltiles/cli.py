@@ -28,7 +28,6 @@ from .crossings import (
 )
 from .lusztig import LusztigDatum, oracle_op, oracle_star_op
 from .potentials import (
-    LaurentPolynomial,
     UnitriangularMatrix,
     bk_identity_check,
     cone_correspondence_check,
@@ -39,7 +38,14 @@ from .potentials import (
 )
 from .strings import polar_duality_check, string_cone, string_datum
 from .tiling import build_tiling, comb, render_svg
-from .words import convex_order, enumerate_reduced_words
+from .words import (
+    MAX_ENUM_RANK,
+    convex_order,
+    count_reduced_words,
+    enumerate_reduced_words,
+    is_reduced_word,
+    rank_of_word,
+)
 
 __all__ = [
     "main",
@@ -56,18 +62,31 @@ __all__ = [
 ]
 
 
-def _parse_word(text) -> tuple[int, ...]:
+def _int_list(text) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.replace(" ", "").split(","))
     except ValueError:
-        raise SystemExit(f"cannot parse word {text!r}; expected e.g. 1,2,1")
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}; expected e.g. 1,2,1") from None
 
 
-def _parse_vector(text) -> tuple[int, ...]:
+def _word(text) -> tuple[int, ...]:
+    """argparse type of --word: a reduced word for w0 such as 1,2,1."""
+    word = _int_list(text)
     try:
-        return tuple(int(p) for p in text.replace(" ", "").split(","))
-    except ValueError:
-        raise SystemExit(f"cannot parse vector {text!r}; expected e.g. 0,0,1")
+        reduced = is_reduced_word(word, rank_of_word(word))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not reduced:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a reduced word for w0")
+    return word
+
+
+def _datum(text) -> tuple[int, ...]:
+    """argparse type of --datum: a Lusztig datum such as 0,0,1."""
+    values = _int_list(text)
+    if any(v < 0 for v in values):
+        raise argparse.ArgumentTypeError("Lusztig data are nonnegative")
+    return values
 
 
 def _key(label) -> str:
@@ -331,22 +350,20 @@ _SUITES = {
 
 
 def _cmd_words(args) -> int:
-    words = enumerate_reduced_words(args.n)
     if args.count:
-        print(len(words))
+        print(count_reduced_words(args.n))
     else:
-        for w in words:
+        for w in enumerate_reduced_words(args.n):
             print(",".join(map(str, w)))
     return 0
 
 
 def _cmd_tiling(args) -> int:
-    word = _parse_word(args.word)
-    tiling = build_tiling(word)
+    tiling = build_tiling(args.word)
     _emit(
         {
             "n": tiling.n,
-            "order": [list(p) for p in convex_order(word)],
+            "order": [list(p) for p in convex_order(args.word)],
             "tiles": [
                 {"pair": list(t.pair), "base": list(t.base)}
                 for t in sorted(tiling.tiles, key=lambda t: t.pair)
@@ -357,7 +374,7 @@ def _cmd_tiling(args) -> int:
 
 
 def _cmd_crossings(args) -> int:
-    word = _parse_word(args.word)
+    word = args.word
     tiling = build_tiling(word)
     n = tiling.n
     strips = [args.a] if args.a is not None else list(range(1, n))
@@ -390,8 +407,7 @@ def _cmd_crossings(args) -> int:
 
 
 def _cmd_crystal(args) -> int:
-    word = _parse_word(args.word)
-    x = LusztigDatum(word, _parse_vector(args.datum))
+    x = LusztigDatum(args.word, args.datum)
     starred = args.op.endswith("*")
     kind = args.op.rstrip("*")
     if args.oracle:
@@ -408,14 +424,11 @@ def _cmd_crystal(args) -> int:
 
 
 def _cmd_string(args) -> int:
-    word = _parse_word(args.word)
     if args.cone:
-        cone = string_cone(word)
+        cone = string_cone(args.word)
         _emit({"coords": [list(c) for c in cone.coords], "rows": [list(r) for r in cone.rows]})
         return 0
-    if args.datum is None:
-        raise SystemExit("string needs --datum or --cone")
-    sd = string_datum(LusztigDatum(word, _parse_vector(args.datum)))
+    sd = string_datum(LusztigDatum(args.word, args.datum))
     print(",".join(map(str, sd.values)))
     return 0
 
@@ -427,29 +440,19 @@ def _bz_json(z: BZDatum) -> dict:
 
 def _cmd_bz(args) -> int:
     if args.from_lusztig:
-        if args.word is None or args.datum is None:
-            raise SystemExit("bz --from-lusztig needs --word and --datum")
-        word = _parse_word(args.word)
-        z = bz_from_lusztig(LusztigDatum(word, _parse_vector(args.datum)))
-        _emit(_bz_json(z))
+        _emit(_bz_json(bz_from_lusztig(LusztigDatum(args.word, args.datum))))
         return 0
-    if args.apply_f:
-        if args.n is None or args.values is None or args.a is None:
-            raise SystemExit("bz --apply-f needs --n, --a and --values")
-        given = json.loads(args.values)
-        vals = {}
-        for s in proper_subsets(args.n):
-            vals[s] = int(given.get(_key(s), 0))
-        out = bz_crystal_f(args.a, BZDatum(args.n, vals))
-        _emit(_bz_json(out))
-        return 0
-    raise SystemExit("bz needs --from-lusztig or --apply-f")
+    given = json.loads(args.values)
+    vals = {}
+    for s in proper_subsets(args.n):
+        vals[s] = int(given.get(_key(s), 0))
+    out = bz_crystal_f(args.a, BZDatum(args.n, vals))
+    _emit(_bz_json(out))
+    return 0
 
 
 def _cmd_cone(args) -> int:
-    if not args.polar_check:
-        raise SystemExit("cone needs --polar-check")
-    word = _parse_word(args.word)
+    word = args.word
     rep = polar_duality_check(word, box=args.box)
     _emit(
         {
@@ -465,30 +468,19 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_potential(args) -> int:
-    word = _parse_word(args.word)
-    chosen = [name for name in ("r", "ghkk", "bk") if getattr(args, name)]
-    if len(chosen) != 1:
-        raise SystemExit("potential needs exactly one of --r, --ghkk, --bk")
-    if chosen[0] == "r":
+    word = args.word
+    if args.r:
         poly = reineke_poly(word, args.a)
-    elif chosen[0] == "ghkk":
+    elif args.ghkk:
         poly = ghkk_restriction(word, args.a)
     else:
-        io = neighbour_ansatz(word)
-        terms = {}
-        for y, coeff in reineke_poly(word, args.a).terms:
-            w = tuple(
-                sum(io.rows[p][v] * y[p] for p in range(len(y))) for v in range(len(io.src))
-            )
-            terms[w] = terms.get(w, 0) + coeff
-        poly = LaurentPolynomial(io.src, terms)
+        poly = neighbour_ansatz(word).pullback(reineke_poly(word, args.a))
     _emit(_poly_json(poly))
     return 0
 
 
 def _cmd_render(args) -> int:
-    word = _parse_word(args.word)
-    tiling = build_tiling(word)
+    tiling = build_tiling(args.word)
     decorations = {}
     if args.highlight:
         pairs = []
@@ -536,11 +528,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_words)
 
     p = sub.add_parser("tiling", help="tile list and root order of a word, as JSON")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", type=_word, required=True)
     p.set_defaults(fn=_cmd_tiling)
 
     p = sub.add_parser("crossings", help="crossing paths of a word, as JSON")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", type=_word, required=True)
     p.add_argument("--a", type=int, help="restrict the listing to one strip")
     p.add_argument("--dual", action="store_true")
     p.set_defaults(fn=_cmd_crossings)
@@ -548,24 +540,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crystal", help="apply a crystal operator to a datum")
     p.add_argument("--op", required=True, choices=["f", "e", "eps", "f*", "e*", "eps*"])
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--datum", required=True)
+    p.add_argument("--word", type=_word, required=True)
+    p.add_argument("--datum", type=_datum, required=True)
     p.add_argument(
         "--oracle", action="store_true", help="use the transport rule instead of crossings"
     )
     p.set_defaults(fn=_cmd_crystal)
 
     p = sub.add_parser("string", help="string datum of a datum, or the string cone")
-    p.add_argument("--word", required=True)
-    p.add_argument("--datum")
-    p.add_argument("--cone", action="store_true")
+    p.add_argument("--word", type=_word, required=True)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--datum", type=_datum)
+    g.add_argument("--cone", action="store_true")
     p.set_defaults(fn=_cmd_string)
 
     p = sub.add_parser("bz", help="subset functions: construction and operator")
-    p.add_argument("--from-lusztig", action="store_true", dest="from_lusztig")
-    p.add_argument("--apply-f", action="store_true", dest="apply_f")
-    p.add_argument("--word")
-    p.add_argument("--datum")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--from-lusztig", action="store_true", dest="from_lusztig")
+    g.add_argument("--apply-f", action="store_true", dest="apply_f")
+    p.add_argument("--word", type=_word)
+    p.add_argument("--datum", type=_datum)
     p.add_argument("--n", type=int)
     p.add_argument("--a", type=int)
     p.add_argument("--values", help='JSON object like {"1": -1, "1,3": -1}')
@@ -573,20 +567,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cone", help="string-cone lattice points against the operators")
     p.add_argument("--polar-check", action="store_true", dest="polar_check")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", type=_word, required=True)
     p.add_argument("--box", type=int, default=3)
     p.set_defaults(fn=_cmd_cone)
 
     p = sub.add_parser("potential", help="crossing polynomials and potentials, as JSON")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", type=_word, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--r", action="store_true", help="tile-coordinate crossing polynomial")
-    p.add_argument("--ghkk", action="store_true", help="vertex coordinates via chamber map")
-    p.add_argument("--bk", action="store_true", help="vertex coordinates via neighbour map")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--r", action="store_true", help="tile-coordinate crossing polynomial")
+    g.add_argument("--ghkk", action="store_true", help="vertex coordinates via chamber map")
+    g.add_argument("--bk", action="store_true", help="vertex coordinates via neighbour map")
     p.set_defaults(fn=_cmd_potential)
 
     p = sub.add_parser("render", help="write an SVG picture of a tiling")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", type=_word, required=True)
     p.add_argument("--svg-out", required=True, dest="svg_out")
     p.add_argument("--highlight", help="tiles to shade, e.g. 1-2,2-3")
     p.add_argument("--comb", type=int, help="shade the a-comb instead")
@@ -602,8 +597,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_problem(args) -> str | None:
+    """Why the parsed arguments cannot run, or None when they can."""
+    cmd = args.command
+    if cmd == "cone" and not args.polar_check:
+        return "cone needs --polar-check"
+    if cmd == "bz" and args.from_lusztig and None in (args.word, args.datum):
+        return "bz --from-lusztig needs --word and --datum"
+    if cmd == "bz" and args.apply_f and None in (args.n, args.a, args.values):
+        return "bz --apply-f needs --n, --a and --values"
+    word, datum = getattr(args, "word", None), getattr(args, "datum", None)
+    if word is not None and datum is not None and len(datum) != len(word):
+        return f"--datum needs {len(word)} entries, one per letter of --word"
+    n = rank_of_word(word) if word is not None else getattr(args, "n", None)
+    if n is not None and n < 2:
+        return "--n must be at least 2"
+    if cmd in ("words", "verify") and n > MAX_ENUM_RANK and not getattr(args, "count", False):
+        return f"--n must be at most {MAX_ENUM_RANK} unless words --count is given"
+    a = getattr(args, "a", None)
+    if a is not None and n is not None and not 1 <= a <= n - 1:
+        return f"--a must lie in 1..{n - 1}"
+    return None
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    problem = _usage_problem(args)
+    if problem:
+        parser.error(problem)
     return args.fn(args)
 
 

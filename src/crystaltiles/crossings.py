@@ -236,9 +236,9 @@ def _op_table(tiling: Tiling, a: int, dual: bool):
     return crossings, tuple(rvecs), tuple(plus), tuple(minus), tuple(reineke), tuple(leq)
 
 
-def _apply_formula(kind: str, a: int, x: LusztigDatum, dual: bool):
+def _apply_formula(kind: str, a: int, x: LusztigDatum):
     tiling = build_tiling(x.word)
-    crossings, rvecs, plus, minus, reineke, leq = _op_table(tiling, a, dual)
+    crossings, rvecs, plus, minus, reineke, leq = _op_table(tiling, a, False)
     vals = x.values
     forms = [
         sum(vals[i] for i in plus[k]) - sum(vals[i] for i in minus[k])
@@ -281,7 +281,7 @@ def crystal_op(kind: str, a: int, x: LusztigDatum):
     >>> crystal_op("f", 1, LusztigDatum((2, 1, 2), (3, 1, 2))).values
     (2, 2, 2)
     """
-    return _apply_formula(kind, a, x, dual=False)
+    return _apply_formula(kind, a, x)
 
 
 def dual_crystal_op(kind: str, a: int, x: LusztigDatum):
@@ -294,17 +294,8 @@ def dual_crystal_op(kind: str, a: int, x: LusztigDatum):
     >>> dual_crystal_op("f*", 2, LusztigDatum((1, 2, 1), (0, 0, 0))).values
     (0, 0, 1)
     """
-    res = _apply_formula(kind.rstrip("*"), a, star_datum(x), dual=False)
+    res = _apply_formula(kind.rstrip("*"), a, star_datum(x))
     return star_datum(res) if isinstance(res, LusztigDatum) else res
-
-
-def _direct_dual_op(kind: str, a: int, x: LusztigDatum):
-    """The dual operator evaluated on the dual crossings themselves.
-
-    Cross-check route for dual_crystal_op; same argmax machinery, dual
-    tables.
-    """
-    return _apply_formula(kind.rstrip("*"), a, x, dual=True)
 
 
 def reineke_vectors(tiling: Tiling, a: int, dual: bool = False) -> frozenset[tuple[int, ...]]:

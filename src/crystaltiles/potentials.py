@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-
-import sympy
+from math import lcm, prod
 
 from .crossings import reineke_vectors
+from .linalg import det, unimodular_inverse
 from .strings import Cone, string_cone
 from .tiling import build_tiling
 from .words import apply_move, convex_order, move_path, rank_of_word
@@ -150,6 +150,13 @@ class MonomialMap:
             out[d] = val
         return out
 
+    def pullback(self, poly: LaurentPolynomial) -> LaurentPolynomial:
+        """poly (on dst) composed with this map: x^y becomes x^(y @ rows) on src."""
+        if poly.coords != self.dst:
+            raise ValueError("polynomial coordinates must be the target coordinates")
+        transpose = MonomialMap(self.dst, self.src, tuple(zip(*self.rows)))
+        return LaurentPolynomial(self.src, [(transpose.trop(y), c) for y, c in poly.terms])
+
     def trop(self, vec) -> tuple[int, ...]:
         """The underlying linear map on integer vectors (aligned with src)."""
         vec = tuple(vec)
@@ -211,26 +218,6 @@ class UnitriangularMatrix:
         return len(self.rows)
 
 
-def _exact_det(rows) -> Fraction:
-    """Determinant by fraction elimination; rows is a list of lists."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    k = len(rows)
-    det = Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, k):
-            factor = rows[r][col] / rows[col][col]
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
-
-
 def chamber_minor(u, subset) -> Fraction:
     """Minor of the first #subset rows against the columns in subset.
 
@@ -247,7 +234,10 @@ def chamber_minor(u, subset) -> Fraction:
         return Fraction(1)
     if cols[0] < 1 or cols[-1] > u.n:
         raise ValueError("column labels must lie in 1..n")
-    return _exact_det([[u.rows[r][c - 1] for c in cols] for r in range(len(cols))])
+    rows = [[u.rows[r][c - 1] for c in cols] for r in range(len(cols))]
+    scales = [lcm(*(e.denominator for e in row)) for row in rows]
+    ints = [[int(e * s) for e in row] for row, s in zip(rows, scales)]
+    return Fraction(det(ints), prod(scales))
 
 
 def bk_value(u, a) -> Fraction:
@@ -503,7 +493,7 @@ def chamber_ansatz_dual(word) -> MonomialMap:
 
     The exponent of tile T in the v-component is -1 when v is the left or
     right corner of T, +1 when v is the upper or lower corner, else 0.  The
-    matrix is square and unimodular (asserted), so the map is invertible.
+    matrix is square and unimodular (checked), so the map is invertible.
     """
     word = tuple(word)
     tiling = build_tiling(word)
@@ -552,24 +542,9 @@ def neighbour_ansatz(word) -> MonomialMap:
 
 
 @lru_cache(maxsize=None)
-def _unimodular_inverse(mm: MonomialMap) -> tuple:
-    """Integer inverse of a unimodular exponent matrix, as src-by-dst rows."""
-    m = sympy.Matrix(mm.rows)
-    det = m.det()
-    if det not in (1, -1):
-        raise ValueError("exponent matrix is not unimodular")
-    inv = m.inv()
-    return tuple(tuple(int(inv[r, c]) for c in range(len(mm.dst))) for r in range(len(mm.src)))
-
-
-@lru_cache(maxsize=None)
-def _integer_adjugate(mm: MonomialMap) -> tuple:
-    """(det, adjugate rows) of an integer exponent matrix; adj @ M = det * I."""
-    m = sympy.Matrix(mm.rows)
-    det = int(m.det())
-    adj = m.adjugate()
-    rows = tuple(tuple(int(adj[r, c]) for c in range(len(mm.dst))) for r in range(len(mm.src)))
-    return det, rows
+def _unimodular_inverse(mm: MonomialMap) -> MonomialMap:
+    """The inverse monomial map, dst -> src; ValueError unless mm is unimodular."""
+    return MonomialMap(mm.dst, mm.src, unimodular_inverse(mm.rows))
 
 
 def ghkk_restriction(word, a) -> LaurentPolynomial:
@@ -587,12 +562,7 @@ def ghkk_restriction(word, a) -> LaurentPolynomial:
     """
     word = tuple(word)
     mm = chamber_ansatz_dual(word)
-    inv = _unimodular_inverse(mm)
-    terms = {}
-    for y, coeff in reineke_poly(word, a).terms:
-        w = tuple(sum(inv[p][v] * y[p] for p in range(len(y))) for v in range(len(mm.dst)))
-        terms[w] = terms.get(w, 0) + coeff
-    poly = LaurentPolynomial(mm.dst, terms)
+    poly = _unimodular_inverse(mm).pullback(reineke_poly(word, a))
     assert all(c == 1 for _, c in poly.terms), "potential coefficients are 1"
     assert all(e in (0, -1) for exp, _ in poly.terms for e in exp), "potential exponents are 0 or -1"
     assert all(any(exp) for exp, _ in poly.terms), "potentials have no constant term"
@@ -676,29 +646,16 @@ def cone_correspondence_check(word, box=2, points=20, seed=0, cap=200000) -> dic
     restrictions = [ghkk_restriction(word, a) for a in range(1, n)]
     pot_cone = Cone(ca.dst, sorted({exp for w in restrictions for exp in w.exponents()}))
     io = neighbour_ansatz(word)
-    io_det, io_adj = _integer_adjugate(io)
-    sgn = 1 if io_det > 0 else -1
-    bk_rows = sorted(
-        {
-            tuple(sum(io.rows[p][v] * y[p] for p in range(len(y))) for v in range(len(io.src)))
-            for r in polys
-            for y in r.exponents()
-        }
-    )
+    io_inv = _unimodular_inverse(io)
+    bk_cone = Cone(io.src, sorted({exp for r in polys for exp in io.pullback(r).exponents()}))
     failures = []
     lattice = 0
-    if io_det == 0:
-        failures.append(("neighbour-matrix-singular", None))
     for z in _box_points(len(word), box, cap, rng):
         lattice += 1
-        back = tuple(sum(row[v] * z[v] for v in range(len(z))) for row in ca_inv)
-        if pot_cone.contains(z) != scone.contains(back):
+        if pot_cone.contains(z) != scone.contains(ca_inv.trop(z)):
             failures.append(("potential-vs-string", z))
-        if io_det:
-            scaled = tuple(sgn * sum(row[p] * z[p] for p in range(len(z))) for row in io_adj)
-            inside = all(sum(r * s for r, s in zip(row, scaled)) >= 0 for row in bk_rows)
-            if scone.contains(z) != inside:
-                failures.append(("string-vs-minor", z))
+        if scone.contains(z) != bk_cone.contains(io_inv.trop(z)):
+            failures.append(("string-vs-minor", z))
     for _ in range(points):
         t = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in ca.dst}
         x = io.apply(t)
@@ -763,15 +720,7 @@ def eval_cluster_mutation(kind, i, j, point) -> dict:
                 else:
                     new[v] = vals[v] * (1 + vals[inner]) ** -e
             new[ninner] = 1 / vals[inner]
-            ca = chamber_ansatz_dual(w)
-            inv = _unimodular_inverse(ca)
-            x = {}
-            for p, pair in enumerate(ca.src):
-                val = Fraction(1)
-                for v, lab in enumerate(ca.dst):
-                    if inv[p][v]:
-                        val *= vals[lab] ** inv[p][v]
-                x[pair] = val
+            x = _unimodular_inverse(chamber_ansatz_dual(w)).apply(vals)
             _trs_step(x, *pairs, left_form)
             assert (
                 chamber_ansatz_dual(w2).apply(x) == new

@@ -42,8 +42,8 @@ __all__ = [
     "root_span",
 ]
 
-# Full enumeration of reduced words beyond rank 7 is astronomically large
-# (n = 8 already has ~2.4e9 words); refuse rather than thrash.
+# Refuse to enumerate reduced words beyond rank 7 rather than thrash:
+# n = 7 has 1.1e9 words and n = 8 has 4.86e13.
 MAX_ENUM_RANK = 7
 
 Permutation = tuple[int, ...]

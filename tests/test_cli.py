@@ -1,9 +1,14 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crystaltiles
 from crystaltiles import cli
 
 
@@ -16,6 +21,12 @@ def test_words_count(capsys):
     code, out = run(capsys, ["words", "--n", "4", "--count"])
     assert code == 0
     assert out.strip() == "16"
+
+
+def test_words_count_uses_the_formula(capsys):
+    code, out = run(capsys, ["words", "--n", "7", "--count"])
+    assert code == 0
+    assert out.strip() == "1100742656"
 
 
 def test_words_listing(capsys):
@@ -140,6 +151,38 @@ def test_unknown_flag_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["words", "--n", "3", "--frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "string --word 2,1,2",
+        "tiling --word 1,x",
+        "tiling --word 1,1,1",
+        "tiling --word 1,5,1",
+        "crystal --op f --a 1 --word 1,2,1 --datum 0,0",
+        "crystal --op f --a 7 --word 1,2,1 --datum 0,0,0",
+        "crystal --op f --a 1 --word 1,2,1 --datum=0,-1,0",
+        "bz --from-lusztig",
+        "bz --apply-f --n 3",
+        "cone --word 1,2,1",
+        "words --n 1",
+        "words --n 8",
+        "potential --word 1,2,1 --a 1",
+    ],
+)
+def test_bad_arguments_exit_2_without_traceback(argv):
+    src = str(Path(crystaltiles.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "crystaltiles.cli", *argv.split()],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
 
 
 def test_weyl_dimension_formula():
