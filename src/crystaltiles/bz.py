@@ -31,11 +31,9 @@ from .linalg import unimodular_inverse
 from .lusztig import LusztigDatum, transition
 from .tiling import build_tiling
 from .words import (
-    MAX_ENUM_RANK,
     _right_multiply,
     cartan_pairing,
     compose,
-    enumerate_reduced_words,
     inverse,
     longest_element,
     num_positive_roots,
@@ -206,9 +204,9 @@ def _vertex_solver(word: tuple[int, ...]):
 def find_word_with_vertex(subset: tuple[int, ...], n: int) -> tuple[int, ...]:
     """A reduced word whose tiling has v_subset among its vertices.
 
-    Factor the longest element through the permutation sending an initial
-    block to the subset (ascending), so the subset becomes a chamber set.
-    Falls back to exhaustive search if the constructed word misses it.
+    Factor the longest element through the permutation u sending an initial
+    block to the subset (ascending): l(u) + l(u^-1 w0) = l(w0) for every u,
+    so the word is reduced, and its prefix u makes the subset a chamber set.
     """
     subset = tuple(sorted(subset))
     if not subset or len(subset) >= n:
@@ -218,18 +216,13 @@ def find_word_with_vertex(subset: tuple[int, ...], n: int) -> tuple[int, ...]:
     head = reduced_word_of_permutation(u)
     tail = reduced_word_of_permutation(compose(inverse(u), longest_element(n)))
     word = head + tail
-    if (
+    if not (
         permutation_of_word(word, n) == longest_element(n)
         and len(word) == num_positive_roots(n)
         and subset in build_tiling(word).vertices
     ):
-        return word
-    if n > MAX_ENUM_RANK:
-        raise ValueError(f"no word found and n = {n} too large to search")
-    for cand in enumerate_reduced_words(n):
-        if subset in build_tiling(cand).vertices:
-            return cand
-    raise AssertionError(f"no tiling of rank {n} has vertex {subset}")
+        raise AssertionError(f"{word} misses the vertex {subset}")
+    return word
 
 
 def bz_from_lusztig(x: LusztigDatum) -> BZDatum:

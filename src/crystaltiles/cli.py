@@ -89,6 +89,23 @@ def _datum(text) -> tuple[int, ...]:
     return values
 
 
+def _pairs(text) -> tuple[tuple[int, int], ...]:
+    """argparse type of --highlight: tile pairs such as 1-2,2-3."""
+    try:
+        pairs = [tuple(map(int, chunk.split("-"))) for chunk in text.split(",")]
+        return tuple((min(s, t), max(s, t)) for s, t in pairs)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}; expected e.g. 1-2,2-3") from None
+
+
+def _bz_values(text) -> dict[str, int]:
+    """argparse type of bz --values: a JSON object of integers keyed by subsets."""
+    try:
+        return {k: int(v) for k, v in json.loads(text).items()}
+    except (AttributeError, TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a JSON object of integers") from None
+
+
 def _key(label) -> str:
     return ",".join(map(str, label)) if isinstance(label, tuple) else str(label)
 
@@ -442,10 +459,7 @@ def _cmd_bz(args) -> int:
     if args.from_lusztig:
         _emit(_bz_json(bz_from_lusztig(LusztigDatum(args.word, args.datum))))
         return 0
-    given = json.loads(args.values)
-    vals = {}
-    for s in proper_subsets(args.n):
-        vals[s] = int(given.get(_key(s), 0))
+    vals = {s: args.values.get(_key(s), 0) for s in proper_subsets(args.n)}
     out = bz_crystal_f(args.a, BZDatum(args.n, vals))
     _emit(_bz_json(out))
     return 0
@@ -483,11 +497,7 @@ def _cmd_render(args) -> int:
     tiling = build_tiling(args.word)
     decorations = {}
     if args.highlight:
-        pairs = []
-        for chunk in args.highlight.split(","):
-            s, t = chunk.split("-")
-            pairs.append((int(s), int(t)))
-        decorations["highlight"] = pairs
+        decorations["highlight"] = args.highlight
     if args.comb is not None:
         decorations["highlight"] = sorted(
             t.pair for t in comb(tiling, args.comb)
@@ -562,7 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datum", type=_datum)
     p.add_argument("--n", type=int)
     p.add_argument("--a", type=int)
-    p.add_argument("--values", help='JSON object like {"1": -1, "1,3": -1}')
+    p.add_argument("--values", type=_bz_values, help='JSON object like {"1": -1, "1,3": -1}')
     p.set_defaults(fn=_cmd_bz)
 
     p = sub.add_parser("cone", help="string-cone lattice points against the operators")
@@ -583,7 +593,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="write an SVG picture of a tiling")
     p.add_argument("--word", type=_word, required=True)
     p.add_argument("--svg-out", required=True, dest="svg_out")
-    p.add_argument("--highlight", help="tiles to shade, e.g. 1-2,2-3")
+    p.add_argument("--highlight", type=_pairs, help="tiles to shade, e.g. 1-2,2-3")
     p.add_argument("--comb", type=int, help="shade the a-comb instead")
     p.add_argument("--labels", action="store_true")
     p.set_defaults(fn=_cmd_render)
@@ -614,9 +624,15 @@ def _usage_problem(args) -> str | None:
         return "--n must be at least 2"
     if cmd in ("words", "verify") and n > MAX_ENUM_RANK and not getattr(args, "count", False):
         return f"--n must be at most {MAX_ENUM_RANK} unless words --count is given"
-    a = getattr(args, "a", None)
-    if a is not None and n is not None and not 1 <= a <= n - 1:
-        return f"--a must lie in 1..{n - 1}"
+    for flag in ("a", "comb"):
+        letter = getattr(args, flag, None)
+        if letter is not None and n is not None and not 1 <= letter <= n - 1:
+            return f"--{flag} must lie in 1..{n - 1}"
+    if getattr(args, "box", 0) < 0:
+        return "--box must be nonnegative"
+    for s, t in getattr(args, "highlight", None) or ():
+        if not 1 <= s < t <= n:
+            return f"--highlight pair {s}-{t} is not a tile: need 1 <= s < t <= {n}"
     return None
 
 

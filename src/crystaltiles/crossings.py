@@ -236,7 +236,18 @@ def _op_table(tiling: Tiling, a: int, dual: bool):
     return crossings, tuple(rvecs), tuple(plus), tuple(minus), tuple(reineke), tuple(leq)
 
 
-def _apply_formula(kind: str, a: int, x: LusztigDatum):
+def crystal_op(kind: str, a: int, x: LusztigDatum):
+    """Crystal operator through the crossing formula.
+
+    kind "eps" returns max form over a-crossings; "f" adds rvec of the
+    order-maximal maximizer; "e" subtracts rvec of the order-minimal
+    maximizer, or returns None when eps_a(x) = 0.
+
+    >>> crystal_op("eps", 1, LusztigDatum((2, 1, 2), (3, 1, 2)))
+    1
+    >>> crystal_op("f", 1, LusztigDatum((2, 1, 2), (3, 1, 2))).values
+    (2, 2, 2)
+    """
     tiling = build_tiling(x.word)
     crossings, rvecs, plus, minus, reineke, leq = _op_table(tiling, a, False)
     vals = x.values
@@ -269,21 +280,6 @@ def _apply_formula(kind: str, a: int, x: LusztigDatum):
     return LusztigDatum(x.word, tuple(v + sign * r for v, r in zip(vals, rvecs[k])))
 
 
-def crystal_op(kind: str, a: int, x: LusztigDatum):
-    """Crystal operator through the crossing formula.
-
-    kind "eps" returns max form over a-crossings; "f" adds rvec of the
-    order-maximal maximizer; "e" subtracts rvec of the order-minimal
-    maximizer, or returns None when eps_a(x) = 0.
-
-    >>> crystal_op("eps", 1, LusztigDatum((2, 1, 2), (3, 1, 2)))
-    1
-    >>> crystal_op("f", 1, LusztigDatum((2, 1, 2), (3, 1, 2))).values
-    (2, 2, 2)
-    """
-    return _apply_formula(kind, a, x)
-
-
 def dual_crystal_op(kind: str, a: int, x: LusztigDatum):
     """Starred crystal operator through the dual crossing formula.
 
@@ -294,7 +290,7 @@ def dual_crystal_op(kind: str, a: int, x: LusztigDatum):
     >>> dual_crystal_op("f*", 2, LusztigDatum((1, 2, 1), (0, 0, 0))).values
     (0, 0, 1)
     """
-    res = _apply_formula(kind.rstrip("*"), a, star_datum(x))
+    res = crystal_op(kind.rstrip("*"), a, star_datum(x))
     return star_datum(res) if isinstance(res, LusztigDatum) else res
 
 

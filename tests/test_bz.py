@@ -16,7 +16,7 @@ from crystaltiles.bz import (
 from crystaltiles.crossings import crystal_op
 from crystaltiles.lusztig import LusztigDatum, transition
 from crystaltiles.tiling import build_tiling
-from crystaltiles.words import enumerate_reduced_words
+from crystaltiles.words import enumerate_reduced_words, is_reduced_word
 
 WORDS4 = enumerate_reduced_words(4)
 
@@ -61,10 +61,13 @@ def test_validate_bz_rejects_garbage():
 
 
 def test_find_word_with_vertex():
-    for subset in proper_subsets(4):
-        word = find_word_with_vertex(subset, 4)
-        assert word in WORDS4
-        assert subset in build_tiling(word).vertices
+    for n in range(2, 9):
+        for subset in proper_subsets(n):
+            word = find_word_with_vertex(subset, n)
+            assert is_reduced_word(word, n)
+            assert subset in build_tiling(word).vertices
+            if n == 4:
+                assert word in WORDS4
 
 
 def test_roundtrip_all_words_n3():

@@ -169,12 +169,19 @@ def test_unknown_flag_exit_2():
         "words --n 1",
         "words --n 8",
         "potential --word 1,2,1 --a 1",
+        "bz --apply-f --n 3 --a 1 --values {x",
+        "bz --apply-f --n 3 --a 1 --values [1]",
+        'bz --apply-f --n 3 --a 1 --values {"1":"x"}',
+        "render --word 1,2,1 --svg-out TMP/out.svg --highlight 1-x",
+        "render --word 1,2,1 --svg-out TMP/out.svg --highlight 1-4",
+        "render --word 1,2,1 --svg-out TMP/out.svg --comb 5",
+        "cone --polar-check --word 1,2,1 --box -1",
     ],
 )
-def test_bad_arguments_exit_2_without_traceback(argv):
+def test_bad_arguments_exit_2_without_traceback(argv, tmp_path):
     src = str(Path(crystaltiles.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "crystaltiles.cli", *argv.split()],
+        [sys.executable, "-m", "crystaltiles.cli", *argv.replace("TMP", str(tmp_path)).split()],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,

@@ -162,5 +162,6 @@ def test_hexagons_match_braid_moves(word):
     ]
     assert len(hexagons(tiling)) >= (1 if braids else 0)
     for h in hexagons(tiling):
-        flipped, _ = flip(tiling, h)
-        assert len(flipped.tiles) == len(tiling.tiles)
+        flipped, mv = flip(tiling, h)
+        assert set(flipped.tiles) == (set(tiling.tiles) - set(h.tiles)) | set(h.flipped_tiles())
+        assert set(build_tiling(apply_move(flipped.word, mv)).tiles) == set(tiling.tiles)

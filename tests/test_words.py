@@ -4,9 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crystaltiles.crossings import crystal_op
+from crystaltiles.lusztig import LusztigDatum
+from crystaltiles.tiling import build_tiling
 from crystaltiles.words import (
+    _move_tree,
     applicable_moves,
     apply_move,
+    braid_steps,
     compose,
     convex_order,
     count_reduced_words,
@@ -37,9 +42,10 @@ def test_compose_and_inverse():
     assert compose(u, identity(3)) == u
 
 
-@pytest.mark.parametrize("n,count", [(2, 1), (3, 2), (4, 16), (5, 768)])
+@pytest.mark.parametrize("n,count", [(2, 1), (3, 2), (4, 16), (5, 768), (6, 292864)])
 def test_reduced_word_counts(n, count):
     words = enumerate_reduced_words(n)
+    assert list(words) == sorted(words)
     assert len(words) == count
     assert len(set(words)) == count
     assert count_reduced_words(n) == count
@@ -75,6 +81,60 @@ def test_move_path_connects():
         cur = apply_move(cur, mv)
     assert cur == j
     assert move_path(i, i) == ()
+
+
+def test_non_letters_raise():
+    with pytest.raises(ValueError):
+        convex_order((0,))
+    with pytest.raises(ValueError):
+        build_tiling((0,))
+    with pytest.raises(ValueError):
+        crystal_op("f", 1, LusztigDatum((0,), (0,)))
+
+
+def _common_vertex(tiles):
+    common = set(tiles[0].vertices)
+    for tile in tiles[1:]:
+        common &= set(tile.vertices)
+    assert len(common) == 1
+    return common.pop()
+
+
+def test_braid_steps_match_tiles():
+    """Hexagon data read off prefix permutations agree with the tilings."""
+    checked = 0
+    for n in (3, 4, 5):
+        for cur in enumerate_reduced_words(n):
+            for mv in applicable_moves(cur):
+                if mv.kind != "braid":
+                    continue
+                nxt = apply_move(cur, mv)
+                ((pairs, left_form, inner, ninner, before, after),) = braid_steps(cur, nxt)
+                (s, t), _, (_, u) = pairs
+                assert s < t < u
+                p = mv.position - 1
+                assert set(convex_order(cur)[p : p + 3]) == set(pairs)
+                tiling, flipped = build_tiling(cur), build_tiling(nxt)
+                st_tile, tu_tile = tiling.by_pair[(s, t)], tiling.by_pair[(t, u)]
+                assert left_form == (st_tile.base == tu_tile.base)
+                assert inner == _common_vertex([tiling.by_pair[q] for q in pairs])
+                assert ninner == _common_vertex([flipped.by_pair[q] for q in pairs])
+                assert (before, after) == (cur, nxt)
+                checked += 1
+    assert checked == 786
+    _move_tree.cache_clear()  # one move tree per source word, needed by no other test
+
+
+def test_braid_steps_follow_move_path():
+    """Between two flips only commutation moves act, which keep the tile set."""
+    words = enumerate_reduced_words(4)
+    i, j = words[0], words[-1]
+    steps = braid_steps(i, j)
+    assert len(steps) == sum(mv.kind == "braid" for mv in move_path(i, j)) > 0
+    ends = [i] + [w for *_, before, after in steps for w in (before, after)] + [j]
+    for u, v in zip(ends[::2], ends[1::2]):
+        assert set(build_tiling(u).tiles) == set(build_tiling(v).tiles)
+    assert braid_steps(i, i) == ()
 
 
 def test_convex_order_is_total_on_roots():
