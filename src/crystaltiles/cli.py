@@ -16,7 +16,7 @@ from itertools import product
 
 from fractions import Fraction
 
-from .bz import BZDatum, bz_crystal_f, bz_from_lusztig, proper_subsets
+from .bz import BZDatum, bz_crystal_f, bz_from_lusztig, proper_subsets, validate_bz
 from .crossings import (
     crossing_rvec,
     crystal_op,
@@ -40,11 +40,13 @@ from .strings import polar_duality_check, string_cone, string_datum
 from .tiling import build_tiling, comb, render_svg
 from .words import (
     MAX_ENUM_RANK,
+    MAX_ENUM_WORDS,
     convex_order,
     count_reduced_words,
     enumerate_reduced_words,
     is_reduced_word,
     rank_of_word,
+    too_many_words,
 )
 
 __all__ = [
@@ -98,11 +100,12 @@ def _pairs(text) -> tuple[tuple[int, int], ...]:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}; expected e.g. 1-2,2-3") from None
 
 
-def _bz_values(text) -> dict[str, int]:
-    """argparse type of bz --values: a JSON object of integers keyed by subsets."""
+def _bz_values(text) -> dict[tuple[int, ...], int]:
+    """argparse type of bz --values: a JSON object of integers keyed by subsets
+    such as "1,3"; the keys become sorted tuples."""
     try:
-        return {k: int(v) for k, v in json.loads(text).items()}
-    except (AttributeError, TypeError, ValueError):
+        return {tuple(sorted(_int_list(k))): int(v) for k, v in json.loads(text).items()}
+    except (AttributeError, TypeError, ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(f"{text!r} is not a JSON object of integers") from None
 
 
@@ -455,13 +458,16 @@ def _bz_json(z: BZDatum) -> dict:
     return {"n": z.n, "values": values}
 
 
+def _bz_datum(args) -> BZDatum:
+    """The BZ datum of bz --n/--values: subsets missing from --values are 0."""
+    return BZDatum(args.n, {s: args.values.get(s, 0) for s in proper_subsets(args.n)})
+
+
 def _cmd_bz(args) -> int:
     if args.from_lusztig:
         _emit(_bz_json(bz_from_lusztig(LusztigDatum(args.word, args.datum))))
         return 0
-    vals = {s: args.values.get(_key(s), 0) for s in proper_subsets(args.n)}
-    out = bz_crystal_f(args.a, BZDatum(args.n, vals))
-    _emit(_bz_json(out))
+    _emit(_bz_json(bz_crystal_f(args.a, _bz_datum(args))))
     return 0
 
 
@@ -622,8 +628,18 @@ def _usage_problem(args) -> str | None:
     n = rank_of_word(word) if word is not None else getattr(args, "n", None)
     if n is not None and n < 2:
         return "--n must be at least 2"
-    if cmd in ("words", "verify") and n > MAX_ENUM_RANK and not getattr(args, "count", False):
-        return f"--n must be at most {MAX_ENUM_RANK} unless words --count is given"
+    if cmd in ("words", "verify") and not getattr(args, "count", False) and too_many_words(n):
+        return f"n = {n} has more than {MAX_ENUM_WORDS} reduced words; only words --count takes it"
+    if cmd == "bz" and args.apply_f:
+        if not 2 <= args.n <= MAX_ENUM_RANK:
+            return f"bz --apply-f needs 2 <= --n <= {MAX_ENUM_RANK}"
+        unknown = sorted(set(args.values) - set(proper_subsets(args.n)))
+        if unknown:
+            keys = [_key(k) for k in unknown]
+            return f"--values keys {keys} are not nonempty proper subsets of [{args.n}]"
+        failures = validate_bz(_bz_datum(args))["failures"]
+        if failures:
+            return f"--values is not a BZ datum: {len(failures)} violations, first {failures[0]}"
     for flag in ("a", "comb"):
         letter = getattr(args, flag, None)
         if letter is not None and n is not None and not 1 <= letter <= n - 1:

@@ -17,9 +17,11 @@ The crossing formula: eps_a(x) is the maximum of the forms over all
 a-crossings, f_a adds rvec of the order-maximal maximizer, and e_a subtracts
 rvec of the order-minimal maximizer (when eps_a > 0).  The partial order
 compares closures: gamma <= lambda iff cl(gamma) <= cl(lambda) and
-op(gamma) <= op(lambda), with cl the geometric closure from the tiling
-module.  Both extreme maximizers are unique and Reineke; this is asserted on
-every application rather than assumed.
+op(gamma) <= op(lambda), where cl(gamma) is gamma plus the tiles left of
+travel, read off the counter-clockwise tile edges by tiling.closure_tiles
+(exact, no coordinates), and op(gamma) = cl(gamma) - gamma.  Both extreme
+maximizers are unique and Reineke; this is asserted on every application
+rather than assumed.
 
 Dual operators reduce to primal ones on the reversed-complemented word
 (values transferred along equal tile pairs); the direct dual enumeration is

@@ -10,13 +10,15 @@ S, S+{s}, S+{t}, S+{s,t}.
 This module builds tilings from words, recovers words from tile sets,
 computes the border-sweep partitions kappa_s, strips, the induced partial
 orders, hexagon flips, combs (closures of maximal crossings) and SVG
-pictures.
+pictures.  A tiling is pure set combinatorics: closures are read off the
+counter-clockwise order of tile edges, and the float coordinates v_S exist
+only inside render_svg.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .words import (
@@ -102,8 +104,10 @@ class Tile:
 
     @property
     def edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
+        """The four edges counter-clockwise: (lower,right), (right,upper),
+        (upper,left), (left,lower)."""
         lo, le, ri, up = self.vertices
-        return (_edge(lo, le), _edge(lo, ri), _edge(le, up), _edge(ri, up))
+        return (_edge(lo, ri), _edge(ri, up), _edge(up, le), _edge(le, lo))
 
     def __repr__(self):
         s, t = self.pair
@@ -116,12 +120,13 @@ class Tiling:
 
     tiles are listed in the word's order, which refines the partial order
     <=_n on tiles; the same tile set may be anchored to any word of its
-    commutation class.
+    commutation class.  build_tiling is the only constructor, so the tiles
+    are a function of the word, and a tiling compares and hashes by its word.
     """
 
     n: int
     word: tuple[int, ...]
-    tiles: tuple[Tile, ...]
+    tiles: tuple[Tile, ...] = field(compare=False)
 
     @cached_property
     def by_pair(self) -> dict[tuple[int, int], Tile]:
@@ -154,21 +159,6 @@ class Tiling:
         return {tile: tuple(ns) for tile, ns in out.items()}
 
     @cached_property
-    def coords(self) -> dict[Vertex, tuple[float, float]]:
-        units = {}
-        for s in range(1, self.n + 1):
-            angle = math.pi / 2 + (self.n + 1 - 2 * s) * math.pi / (2 * self.n)
-            units[s] = (math.cos(angle), math.sin(angle))
-        return {
-            v: (sum(units[s][0] for s in v), sum(units[s][1] for s in v))
-            for v in self.vertices
-        }
-
-    def center(self, tile: Tile) -> tuple[float, float]:
-        pts = [self.coords[v] for v in tile.vertices]
-        return (sum(p[0] for p in pts) / 4, sum(p[1] for p in pts) / 4)
-
-    @cached_property
     def boundary_cycle(self) -> tuple[Vertex, ...]:
         """The 2n boundary vertices clockwise from v_emptyset.
 
@@ -185,10 +175,6 @@ class Tiling:
         cyc = self.boundary_cycle
         m = len(cyc)
         return _edge(cyc[(k - 1) % m], cyc[k % m])
-
-    @cached_property
-    def boundary_edge_set(self) -> frozenset[tuple[Vertex, Vertex]]:
-        return frozenset(self.boundary_edge(k) for k in range(1, 2 * self.n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -467,75 +453,42 @@ def closure_tiles(
 ) -> frozenset[Tile]:
     """Closure of a crossing path: the path plus every tile left of it.
 
-    The path, extended to the midpoints of the boundary edges labeled a and
-    a+1 (left boundary for primal crossings, right boundary for dual ones),
-    is a simple arc splitting the polygon into two regions.  Closing the arc
-    with the short boundary stretch through the corner vertex between those
-    edges gives a polygon whose orientation tells which region lies left of
-    travel; tile centers are then classified by an even-odd test.  Every
-    adjacency component of the complement must land on one side, which is
-    asserted.
+    The path enters its first tile through the boundary edge b_a (b_{n+a} for
+    a dual crossing), passes from tile to tile through their shared edges and
+    leaves its last tile through b_{a+1} (b_{n+a+1}).  Within a path tile, an
+    off-path tile across an edge strictly between the entry and the exit,
+    counter-clockwise (Tile.edges order), lies right of travel; one across any
+    other edge lies left.  A flood fill spreads these sides over the
+    adjacency components of the off-path tiles; a component that meets the
+    path on both sides raises AssertionError.
     """
     path = tuple(path)
-    n = tiling.n
-    cyc = tiling.boundary_cycle
-
-    def mid(v1, v2):
-        (x1, y1), (x2, y2) = tiling.coords[v1], tiling.coords[v2]
-        return ((x1 + x2) / 2, (y1 + y2) / 2)
-
-    if dual:
-        def suffix(k):
-            return _vertex(range(k, n + 1))
-
-        start = mid(suffix(a), suffix(a + 1))
-        end = mid(suffix(a + 1), suffix(a + 2))
-        corner = tiling.coords[suffix(a + 1)]
-    else:
-        start = mid(cyc[a - 1], cyc[a])
-        end = mid(cyc[a], cyc[(a + 1) % len(cyc)])
-        corner = tiling.coords[cyc[a]]
-
-    poly = [start] + [tiling.center(t) for t in path] + [end, corner]
-    area2 = sum(
-        x1 * y2 - x2 * y1
-        for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1])
+    shift = tiling.n if dual else 0
+    crossed = (
+        [tiling.boundary_edge(a + shift)]
+        + [next(e for e in t1.edges if e in t2.edges) for t1, t2 in zip(path, path[1:])]
+        + [tiling.boundary_edge(a + 1 + shift)]
     )
-    # Rotate by a fixed irrational angle so no ray-casting edge is horizontal.
-    cs, sn = math.cos(0.1234567), math.sin(0.1234567)
-
-    def rot(p):
-        return (cs * p[0] - sn * p[1], sn * p[0] + cs * p[1])
-
-    rpoly = [rot(p) for p in poly]
-
-    def interior(p):
-        px, py = rot(p)
-        hits = 0
-        for (x1, y1), (x2, y2) in zip(rpoly, rpoly[1:] + rpoly[:1]):
-            if (y1 > py) != (y2 > py) and px < x1 + (py - y1) * (x2 - x1) / (y2 - y1):
-                hits += 1
-        return hits % 2 == 1
-
     in_path = set(path)
-    left = {t for t in tiling.tiles if t not in in_path and interior(tiling.center(t))}
-    if area2 < 0:
-        left = set(tiling.tiles) - in_path - left
-
-    unseen = set(tiling.tiles) - in_path
-    while unseen:
-        comp = {unseen.pop()}
-        frontier = list(comp)
-        while frontier:
-            cur = frontier.pop()
-            for nb in tiling.adjacency[cur]:
-                if nb in unseen:
-                    unseen.discard(nb)
-                    comp.add(nb)
-                    frontier.append(nb)
-        sides = {t in left for t in comp}
-        assert len(sides) == 1, "component straddles the crossing path"
-    return frozenset(in_path | left)
+    seeds = []
+    for tile, entry, exit_ in zip(path, crossed, crossed[1:]):
+        edges = tile.edges
+        i = edges.index(entry)
+        to_exit = (edges.index(exit_) - i) % 4
+        for step in (1, 2, 3):
+            for nb in tiling.edge_tiles[edges[(i + step) % 4]]:
+                if nb not in in_path:
+                    seeds.append((nb, step > to_exit))
+    left_of: dict[Tile, bool] = {}
+    while seeds:
+        tile, left = seeds.pop()
+        if tile in left_of:
+            if left_of[tile] != left:
+                raise AssertionError(f"a component straddles the crossing {path}")
+            continue
+        left_of[tile] = left
+        seeds.extend((nb, left) for nb in tiling.adjacency[tile] if nb not in in_path)
+    return frozenset(in_path.union(t for t, left in left_of.items() if left))
 
 
 def comb(tiling: Tiling, a: int) -> frozenset[Tile]:
@@ -591,9 +544,23 @@ def render_svg(tiling: Tiling, decorations: dict | None = None) -> str:
     highlight = {as_tile(t) for t in decorations.get("highlight", ())}
     polyline = [as_tile(t) for t in decorations.get("polyline", ())]
 
+    n = tiling.n
+    units = {}
+    for s in range(1, n + 1):
+        angle = math.pi / 2 + (n + 1 - 2 * s) * math.pi / (2 * n)
+        units[s] = (math.cos(angle), math.sin(angle))
+    coords = {
+        v: (sum(units[s][0] for s in v), sum(units[s][1] for s in v))
+        for v in tiling.vertices
+    }
+
+    def center(tile: Tile) -> tuple[float, float]:
+        pts = [coords[v] for v in tile.vertices]
+        return (sum(p[0] for p in pts) / 4, sum(p[1] for p in pts) / 4)
+
     scale = 60.0
-    xs = [p[0] for p in tiling.coords.values()]
-    ys = [p[1] for p in tiling.coords.values()]
+    xs = [p[0] for p in coords.values()]
+    ys = [p[1] for p in coords.values()]
     margin = 0.4
     width = (max(xs) - min(xs) + 2 * margin) * scale
     height = (max(ys) - min(ys) + 2 * margin) * scale
@@ -609,21 +576,21 @@ def render_svg(tiling: Tiling, decorations: dict | None = None) -> str:
     ]
     for tile in tiling.tiles:
         lo, le, ri, up = tile.vertices
-        corners = " ".join(pt(tiling.coords[v]) for v in (lo, le, up, ri))
+        corners = " ".join(pt(coords[v]) for v in (lo, le, up, ri))
         fill = _HIGHLIGHT if tile in highlight else "white"
         lines.append(
             f'<polygon points="{corners}" fill="{fill}" stroke="black" '
             f'stroke-width="1"/>'
         )
     if polyline:
-        pts = " ".join(pt(tiling.center(t)) for t in polyline)
+        pts = " ".join(pt(center(t)) for t in polyline)
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="{_POLYLINE}" '
             f'stroke-width="2"/>'
         )
     if decorations.get("edge_labels"):
         for edge in sorted(tiling.edges):
-            (x1, y1), (x2, y2) = tiling.coords[edge[0]], tiling.coords[edge[1]]
+            (x1, y1), (x2, y2) = coords[edge[0]], coords[edge[1]]
             lines.append(
                 f'<text x="{pt(((x1 + x2) / 2, (y1 + y2) / 2)).split(",")[0]}" '
                 f'y="{pt(((x1 + x2) / 2, (y1 + y2) / 2)).split(",")[1]}" '
@@ -632,7 +599,7 @@ def render_svg(tiling: Tiling, decorations: dict | None = None) -> str:
     if decorations.get("vertex_labels"):
         for v in sorted(tiling.vertices):
             label = "{" + ",".join(map(str, v)) + "}"
-            x, y = pt(tiling.coords[v]).split(",")
+            x, y = pt(coords[v]).split(",")
             lines.append(
                 f'<text x="{x}" y="{y}" font-size="9" text-anchor="middle" '
                 f'fill="#555">{label}</text>'

@@ -24,6 +24,7 @@ from functools import lru_cache
 
 __all__ = [
     "MAX_ENUM_RANK",
+    "MAX_ENUM_WORDS",
     "WordMove",
     "identity",
     "longest_element",
@@ -35,6 +36,7 @@ __all__ = [
     "is_reduced_word",
     "enumerate_reduced_words",
     "count_reduced_words",
+    "too_many_words",
     "applicable_moves",
     "apply_move",
     "move_path",
@@ -47,9 +49,10 @@ __all__ = [
     "root_span",
 ]
 
-# Refuse to enumerate reduced words beyond rank 7 rather than thrash:
-# n = 7 has 1.1e9 words and n = 8 has 4.86e13.
+# Resource guards: crossings and BZ subset tables up to rank 7, word lists up
+# to 10**6 words (n = 6 has 292864 reduced words, n = 7 has 1.1e9).
 MAX_ENUM_RANK = 7
+MAX_ENUM_WORDS = 10**6
 
 Permutation = tuple[int, ...]
 Word = tuple[int, ...]
@@ -213,15 +216,15 @@ def enumerate_reduced_words(n: int) -> tuple[Word, ...]:
     A reduced word for w0 is a maximal chain e < w_1 < ... < w0 of the right
     weak order: each letter a is an ascent w(a) < w(a+1) of the prefix
     permutation w.  The depth-first walk tries the ascents in increasing
-    order, so it lists the words lexicographically.  Refuses
-    n > MAX_ENUM_RANK.
+    order, so it lists the words lexicographically.  Refuses ranks with
+    more than MAX_ENUM_WORDS words.
     """
     if n < 2:
         raise ValueError("rank must be at least 2")
-    if n > MAX_ENUM_RANK:
+    if too_many_words(n):
         raise ValueError(
             f"enumerating reduced words for n = {n} exceeds the resource guard"
-            f" (MAX_ENUM_RANK = {MAX_ENUM_RANK})"
+            f" (MAX_ENUM_WORDS = {MAX_ENUM_WORDS})"
         )
     top = longest_element(n)
     out = []
@@ -249,12 +252,19 @@ def count_reduced_words(n: int) -> int:
     return math.factorial(big_n) // denom
 
 
-@lru_cache(maxsize=None)
+def too_many_words(n: int) -> bool:
+    """count_reduced_words(n) > MAX_ENUM_WORDS.  The count grows with n, so
+    ranks are tried upwards and no count past the budget is computed."""
+    return any(count_reduced_words(k) > MAX_ENUM_WORDS for k in range(2, n + 1))
+
+
+@lru_cache(maxsize=16)
 def _move_tree(root: Word) -> dict[Word, tuple[Word, WordMove] | None]:
     """BFS predecessor tree of the move graph rooted at root.
 
     Neighbours are explored in sorted move order, so shortest paths extracted
-    from the tree are deterministic.
+    from the tree are deterministic.  A tree holds every word of the rank, so
+    only the 16 most recently used trees stay cached.
     """
     tree: dict[Word, tuple[Word, WordMove] | None] = {root: None}
     frontier = [root]

@@ -176,6 +176,11 @@ def test_unknown_flag_exit_2():
         "render --word 1,2,1 --svg-out TMP/out.svg --highlight 1-4",
         "render --word 1,2,1 --svg-out TMP/out.svg --comb 5",
         "cone --polar-check --word 1,2,1 --box -1",
+        'bz --apply-f --n 3 --a 1 --values {"1":-1,"1,3":2}',
+        'bz --apply-f --n 3 --a 1 --values {"7":5}',
+        "bz --apply-f --n 40 --a 1 --values {}",
+        "words --n 7",
+        "verify --n 7",
     ],
 )
 def test_bad_arguments_exit_2_without_traceback(argv, tmp_path):

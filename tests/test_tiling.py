@@ -1,8 +1,11 @@
 """Tilings: tiles, boundary, partitions, strips, hexagon flips."""
 
+import math
+
 import pytest
 
 from conftest import RUNNING_KAPPA_3, RUNNING_KAPPA_5, RUNNING_TILES
+from crystaltiles.crossings import enumerate_crossings
 from crystaltiles.tiling import (
     Tile,
     build_tiling,
@@ -52,7 +55,7 @@ def test_boundary_cycle(running_tiling):
     assert cyc[5] == (1, 2, 3, 4, 5)
     assert cyc[6] == (2, 3, 4, 5)
     assert len(cyc) == 10
-    assert all(e in running_tiling.edges for e in running_tiling.boundary_edge_set)
+    assert all(running_tiling.boundary_edge(k) in running_tiling.edges for k in range(1, 11))
 
 
 def test_kappa_running_example(running_tiling):
@@ -134,6 +137,62 @@ def test_closure_tiles_within(running_tiling):
     path = maximal_crossing_path(running_tiling, 3)
     inside = closure_tiles(running_tiling, path, 3)
     assert set(path) <= set(inside)
+
+
+def _ray_casting_closure(tiling, path, a, dual):
+    """Reference closure from plane geometry, with vertex S at sum_{s in S} u_s.
+
+    The path through the tile centres, extended to the midpoints of its two
+    boundary edges and closed through the boundary vertex between them, is a
+    polygon.  Off-path tiles are left of travel when the even-odd ray test
+    puts their centre inside a counter-clockwise polygon, or outside a
+    clockwise one.  A fixed irrational rotation keeps polygon edges off the
+    horizontal rays.
+    """
+    n = tiling.n
+    units = {}
+    for s in range(1, n + 1):
+        angle = math.pi / 2 + (n + 1 - 2 * s) * math.pi / (2 * n)
+        units[s] = (math.cos(angle), math.sin(angle))
+
+    def centroid(vertices):
+        pts = [(sum(units[s][0] for s in v), sum(units[s][1] for s in v)) for v in vertices]
+        return (sum(x for x, _ in pts) / len(pts), sum(y for _, y in pts) / len(pts))
+
+    shift = n if dual else 0
+    first, last = tiling.boundary_edge(a + shift), tiling.boundary_edge(a + 1 + shift)
+    (corner,) = set(first) & set(last)
+    poly = [centroid(first), *(centroid(t.vertices) for t in path), centroid(last), centroid([corner])]
+    area2 = sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]))
+    cs, sn = math.cos(0.1234567), math.sin(0.1234567)
+    rpoly = [(cs * x - sn * y, sn * x + cs * y) for x, y in poly]
+
+    def inside(tile):
+        x, y = centroid(tile.vertices)
+        px, py = cs * x - sn * y, sn * x + cs * y
+        hits = sum(
+            (y1 > py) != (y2 > py) and px < x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+            for (x1, y1), (x2, y2) in zip(rpoly, rpoly[1:] + rpoly[:1])
+        )
+        return hits % 2 == 1
+
+    left = {t for t in tiling.tiles if t not in path and inside(t) == (area2 > 0)}
+    return frozenset(set(path) | left)
+
+
+def test_closure_tiles_match_ray_casting(running_tiling):
+    """The edge rule agrees with plane geometry on every crossing, n <= 4 and
+    the running example."""
+    tilings = [build_tiling(w) for n in (2, 3, 4) for w in enumerate_reduced_words(n)]
+    checked = 0
+    for tiling in tilings + [running_tiling]:
+        for a in range(1, tiling.n):
+            for dual in (False, True):
+                for c in enumerate_crossings(tiling, a, dual):
+                    got = closure_tiles(tiling, c.tiles, a, dual)
+                    assert got == _ray_casting_closure(tiling, c.tiles, a, dual), c
+                    checked += 1
+    assert checked == 257
 
 
 def test_comb(running_tiling):

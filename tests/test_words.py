@@ -28,6 +28,7 @@ from crystaltiles.words import (
     prefix_permutations,
     reduced_word_of_permutation,
     star_word,
+    too_many_words,
 )
 
 
@@ -56,6 +57,14 @@ def test_reduced_word_counts(n, count):
 
 def test_count_n6_slow_free():
     assert count_reduced_words(6) == 292864
+
+
+def test_enumeration_guard_uses_the_word_count():
+    assert not too_many_words(6)
+    for n in (7, 10**6):  # the guard computes no count past n = 7
+        assert too_many_words(n)
+        with pytest.raises(ValueError, match="MAX_ENUM_WORDS"):
+            enumerate_reduced_words(n)
 
 
 def test_reduced_word_of_permutation_roundtrip():
