@@ -10,11 +10,7 @@ bytes.
 
 import argparse
 import json
-import random
 import sys
-from itertools import product
-
-from fractions import Fraction
 
 from .bz import BZDatum, bz_crystal_f, bz_from_lusztig, proper_subsets, validate_bz
 from .crossings import (
@@ -22,22 +18,14 @@ from .crossings import (
     crystal_op,
     dual_crystal_op,
     enumerate_crossings,
-    generate_hw_crystal,
     is_reineke,
-    poset_leq,
+    reineke_vectors,
 )
 from .lusztig import LusztigDatum, oracle_op, oracle_star_op
-from .potentials import (
-    UnitriangularMatrix,
-    bk_identity_check,
-    cone_correspondence_check,
-    ghkk_restriction,
-    neighbour_ansatz,
-    reineke_poly,
-    transform_check_rtrans,
-)
+from .potentials import ghkk_restriction, neighbour_ansatz, reineke_poly
 from .strings import polar_duality_check, string_cone, string_datum
 from .tiling import build_tiling, comb, render_svg
+from .verify import SUITE_NAMES, run
 from .words import (
     MAX_ENUM_RANK,
     MAX_ENUM_WORDS,
@@ -49,19 +37,7 @@ from .words import (
     too_many_words,
 )
 
-__all__ = [
-    "main",
-    "weyl_dimension",
-    "verify_crossing",
-    "verify_duality",
-    "verify_am",
-    "verify_rtrans",
-    "verify_ghkk",
-    "verify_bk",
-    "verify_lattice",
-    "lattice_failures",
-    "reselection_failures",
-]
+__all__ = ["main"]
 
 
 def _int_list(text) -> tuple[int, ...]:
@@ -124,247 +100,6 @@ def _poly_json(poly) -> dict:
     }
 
 
-def _sorted_crossings(tiling, a, dual):
-    return sorted(
-        enumerate_crossings(tiling, a, dual),
-        key=lambda c: (len(c.tiles), tuple(t.pair for t in c.tiles)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def weyl_dimension(lam) -> int:
-    """Dimension of the irreducible module with the given weight coefficients.
-
-    Product formula over the positive roots: for each pair a < b the factor
-    is (b - a + lam_a + ... + lam_{b-1}) / (b - a).
-
-    >>> weyl_dimension((1, 1))
-    8
-    >>> weyl_dimension((2, 1))
-    15
-    """
-    lam = tuple(lam)
-    n = len(lam) + 1
-    num = den = 1
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            num *= (b - a) + sum(lam[a - 1 : b - 1])
-            den *= b - a
-    assert num % den == 0
-    return num // den
-
-
-def _pick_words(n, cap, rng):
-    words = list(enumerate_reduced_words(n))
-    if cap is not None and len(words) > cap:
-        words = sorted(rng.sample(words, cap))
-    return words
-
-
-def verify_crossing(n, seed=0, words_cap=8, data_per_word=30, box=2) -> dict:
-    """Crossing-formula operators against the transport oracle."""
-    rng = random.Random(f"crossing:{seed}:{n}")
-    bad = []
-    cases = 0
-    big = n * (n - 1) // 2
-    for w in _pick_words(n, words_cap, rng):
-        for _ in range(data_per_word):
-            x = LusztigDatum(w, tuple(rng.randint(0, box) for _ in range(big)))
-            for a in range(1, n):
-                for kind in ("f", "e", "eps"):
-                    cases += 2
-                    got, want = crystal_op(kind, a, x), oracle_op(kind, a, x)
-                    if got != want:
-                        bad.append({"word": list(w), "a": a, "kind": kind, "x": list(x.values)})
-                    got = dual_crystal_op(kind, a, x)
-                    want = oracle_star_op(kind, a, x)
-                    if got != want:
-                        bad.append(
-                            {"word": list(w), "a": a, "kind": kind + "*", "x": list(x.values)}
-                        )
-    return _report("crossing", n, seed, cases, bad)
-
-
-def verify_duality(n, seed=0, words_cap=6, box=3) -> dict:
-    """String data from the starred operators against the cone lattice points."""
-    rng = random.Random(f"duality:{seed}:{n}")
-    bad = []
-    cases = 0
-    for w in _pick_words(n, words_cap, rng):
-        rep = polar_duality_check(w, box=box)
-        cases += rep["reached"]
-        if not rep["ok"]:
-            bad.append({"word": list(w), "failures": len(rep["failures"])})
-    return _report("duality", n, seed, cases, bad)
-
-
-def verify_am(n, seed=0, words_cap=6, data_per_word=25, box=2) -> dict:
-    """Subset functions commute with the crystal operator f."""
-    rng = random.Random(f"am:{seed}:{n}")
-    bad = []
-    cases = 0
-    big = n * (n - 1) // 2
-    for w in _pick_words(n, words_cap, rng):
-        for _ in range(data_per_word):
-            x = LusztigDatum(w, tuple(rng.randint(0, box) for _ in range(big)))
-            z = bz_from_lusztig(x)
-            for a in range(1, n):
-                cases += 1
-                if bz_from_lusztig(crystal_op("f", a, x)) != bz_crystal_f(a, z):
-                    bad.append({"word": list(w), "a": a, "x": list(x.values)})
-    return _report("am", n, seed, cases, bad)
-
-
-def verify_rtrans(n, seed=0, pairs=12, points=4) -> dict:
-    """Crossing polynomials transform through the lifts between any two words."""
-    rng = random.Random(f"rtrans:{seed}:{n}")
-    words = list(enumerate_reduced_words(n))
-    bad = []
-    cases = 0
-    for _ in range(pairs):
-        i, j = rng.choice(words), rng.choice(words)
-        pts = [
-            {p: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for p in convex_order(i)}
-            for _ in range(points)
-        ]
-        for a in range(1, n):
-            rep = transform_check_rtrans(a, i, j, pts)
-            cases += rep["points"]
-            if not rep["ok"]:
-                bad.append({"words": [list(i), list(j)], "a": a})
-    return _report("rtrans", n, seed, cases, bad)
-
-
-def verify_ghkk(n, seed=0, words_cap=6, box=2, cap=60000, points=6) -> dict:
-    """Potential restrictions and the cone correspondences."""
-    rng = random.Random(f"ghkk:{seed}:{n}")
-    bad = []
-    cases = 0
-    for w in _pick_words(n, words_cap, rng):
-        for a in range(1, n):
-            ghkk_restriction(w, a)
-        rep = cone_correspondence_check(w, box=box, points=points, seed=seed, cap=cap)
-        cases += rep["lattice_points"] + rep["rational_points"]
-        if not rep["ok"]:
-            bad.append({"word": list(w), "failures": rep["failures"][:3]})
-    return _report("ghkk", n, seed, cases, bad)
-
-
-def verify_bk(n, seed=0, words_cap=6, matrices=12) -> dict:
-    """Minor ratios against crossing polynomials at chamber-minor points."""
-    rng = random.Random(f"bk:{seed}:{n}")
-    bad = []
-    cases = 0
-    for w in _pick_words(n, words_cap, rng):
-        done = 0
-        while done < matrices:
-            rows = [
-                [
-                    Fraction(1)
-                    if r == c
-                    else (
-                        Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if c > r else Fraction(0)
-                    )
-                    for c in range(n)
-                ]
-                for r in range(n)
-            ]
-            rep = bk_identity_check(w, UnitriangularMatrix(rows))
-            if rep["excluded"]:
-                continue
-            done += 1
-            cases += 1
-            if not rep["ok"]:
-                bad.append({"word": list(w), "failures": len(rep["failures"])})
-    return _report("bk", n, seed, cases, bad)
-
-
-def lattice_failures(tiling, a, dual=False) -> list:
-    """Pairs without a unique bound, and bounds leaving the Reineke subset."""
-    cs = _sorted_crossings(tiling, a, dual)
-    leq = {(c, d): poset_leq(c, d) for c in cs for d in cs}
-    fails = []
-    for i, c in enumerate(cs):
-        for d in cs[i:]:
-            for upper in (True, False):
-                if upper:
-                    cand = [e for e in cs if leq[(c, e)] and leq[(d, e)]]
-                    best = [e for e in cand if all(leq[(e, f)] for f in cand)]
-                else:
-                    cand = [e for e in cs if leq[(e, c)] and leq[(e, d)]]
-                    best = [e for e in cand if all(leq[(f, e)] for f in cand)]
-                if len(best) != 1:
-                    fails.append(("missing bound", a, dual))
-                elif is_reineke(c) and is_reineke(d) and not is_reineke(best[0]):
-                    fails.append(("not a sublattice", a, dual))
-    return fails
-
-
-def reselection_failures(word, a, dual=False) -> list:
-    """Reineke crossings that f does not re-select at the negative part of rvec."""
-    word = tuple(word)
-    tiling = build_tiling(word)
-    fails = []
-    for c in _sorted_crossings(tiling, a, dual):
-        if not is_reineke(c):
-            continue
-        r = crossing_rvec(c)
-        x = LusztigDatum(word, tuple(max(0, -v) for v in r))
-        y = (dual_crystal_op if dual else crystal_op)("f", a, x)
-        if tuple(p - q for p, q in zip(y.values, x.values)) != r:
-            fails.append((list(word), a, dual, list(r)))
-    return fails
-
-
-def verify_lattice(n, seed=0, words_cap=None, lam_max=1) -> dict:
-    """Order structure of the crossings and highest-weight crystal sizes."""
-    rng = random.Random(f"lattice:{seed}:{n}")
-    bad = []
-    cases = 0
-    words = _pick_words(n, words_cap, rng)
-    for w in words:
-        tiling = build_tiling(w)
-        for a in range(1, n):
-            for dual in (False, True):
-                cases += 1
-                bad.extend({"word": list(w), "where": f} for f in lattice_failures(tiling, a, dual))
-                bad.extend({"word": list(w), "where": f} for f in reselection_failures(w, a, dual))
-    anchor = words[0]
-    for lam in product(range(lam_max + 1), repeat=n - 1):
-        cases += 1
-        size = len(generate_hw_crystal(lam, anchor))
-        want = weyl_dimension(lam)
-        if size != want:
-            bad.append({"lam": list(lam), "size": size, "dimension": want})
-    return _report("lattice", n, seed, cases, bad)
-
-
-def _report(suite, n, seed, cases, bad) -> dict:
-    return {
-        "suite": suite,
-        "n": n,
-        "seed": seed,
-        "cases": cases,
-        "counterexamples": len(bad),
-        "witnesses": bad[:10],
-        "ok": not bad,
-    }
-
-
-_SUITES = {
-    "crossing": verify_crossing,
-    "duality": verify_duality,
-    "am": verify_am,
-    "rtrans": verify_rtrans,
-    "ghkk": verify_ghkk,
-    "bk": verify_bk,
-    "lattice": verify_lattice,
-}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -394,32 +129,25 @@ def _cmd_tiling(args) -> int:
 
 
 def _cmd_crossings(args) -> int:
-    word = args.word
-    tiling = build_tiling(word)
-    n = tiling.n
-    strips = [args.a] if args.a is not None else list(range(1, n))
-    out = []
-    vectors = set()
-    for a in range(1, n):
-        for c in _sorted_crossings(tiling, a, args.dual):
-            if is_reineke(c):
-                vectors.add(crossing_rvec(c))
-            if a in strips:
-                out.append(
-                    {
-                        "tiles": [list(t.pair) for t in c.tiles],
-                        "strips": list(c.strips),
-                        "dual": c.dual,
-                        "rvec": list(crossing_rvec(c)),
-                        "reineke": is_reineke(c),
-                    }
-                )
+    tiling = build_tiling(args.word)
+    letters = range(1, tiling.n)
+    vectors = set().union(*(reineke_vectors(tiling, a, args.dual) for a in letters))
     _emit(
         {
-            "word": list(word),
+            "word": list(args.word),
             "a": args.a,
             "dual": args.dual,
-            "crossings": out,
+            "crossings": [
+                {
+                    "tiles": [list(t.pair) for t in c.tiles],
+                    "strips": list(c.strips),
+                    "dual": c.dual,
+                    "rvec": list(crossing_rvec(c)),
+                    "reineke": is_reineke(c),
+                }
+                for a in ([args.a] if args.a is not None else letters)
+                for c in enumerate_crossings(tiling, a, args.dual)
+            ],
             "reineke_vectors": sorted(list(v) for v in vectors),
         }
     )
@@ -505,9 +233,7 @@ def _cmd_render(args) -> int:
     if args.highlight:
         decorations["highlight"] = args.highlight
     if args.comb is not None:
-        decorations["highlight"] = sorted(
-            t.pair for t in comb(tiling, args.comb)
-        )
+        decorations["highlight"] = sorted(t.pair for t in comb(tiling, args.comb))
     if args.labels:
         decorations["vertex_labels"] = True
     svg = render_svg(tiling, decorations)
@@ -518,11 +244,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
     ok = True
-    for name in names:
-        fn = _SUITES[name]
-        rep = fn(args.n, seed=args.seed)
+    for rep in run(args.suite, args.n, args.seed):
         _emit(rep)
         ok = ok and rep["ok"]
     return 0 if ok else 1
@@ -605,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_render)
 
     p = sub.add_parser("verify", help="run a verification suite and report JSON lines")
-    p.add_argument("--suite", default="all", choices=["all", *_SUITES])
+    p.add_argument("--suite", default="all", choices=["all", *SUITE_NAMES])
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify)
@@ -630,6 +353,9 @@ def _usage_problem(args) -> str | None:
         return "--n must be at least 2"
     if cmd in ("words", "verify") and not getattr(args, "count", False) and too_many_words(n):
         return f"n = {n} has more than {MAX_ENUM_WORDS} reduced words; only words --count takes it"
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if cmd == "words" and args.count and digits and too_many_words(n, 10**digits - 1):
+        return f"the number of reduced words for n = {n} has more than {digits} digits"
     if cmd == "bz" and args.apply_f:
         if not 2 <= args.n <= MAX_ENUM_RANK:
             return f"bz --apply-f needs 2 <= --n <= {MAX_ENUM_RANK}"

@@ -129,8 +129,8 @@ def _enumerate(tiling: Tiling, a: int, dual: bool) -> tuple[Crossing, ...]:
     return crossings
 
 
-def enumerate_crossings(tiling: Tiling, a: int, dual: bool = False) -> frozenset[Crossing]:
-    """All (dual) a-crossings of the tiling.
+def enumerate_crossings(tiling: Tiling, a: int, dual: bool = False) -> tuple[Crossing, ...]:
+    """All (dual) a-crossings of the tiling, sorted by length, then by tile pairs.
 
     The dual set is computed twice, directly and through the
     reversed-complemented word, and the two enumerations are asserted equal.
@@ -138,7 +138,7 @@ def enumerate_crossings(tiling: Tiling, a: int, dual: bool = False) -> frozenset
     >>> len(enumerate_crossings(build_tiling((1, 2, 1)), 1))
     1
     """
-    return frozenset(_enumerate(tiling, a, dual))
+    return _enumerate(tiling, a, dual)
 
 
 def _rvec_by_pair(c: Crossing) -> dict[tuple[int, int], int]:

@@ -144,6 +144,16 @@ def _base_case(kind: str, a: int, y: LusztigDatum):
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
+def _transported_op(kind: str, a: int, x: LusztigDatum, target, letter: int):
+    """Apply the base-case rule at [a, a+1] to x moved to target(letter, n),
+    and move a resulting datum back to x's word."""
+    n = x.n
+    if not 1 <= a <= n - 1:
+        raise ValueError(f"a must lie in [n-1] = [{n - 1}]")
+    res = _base_case(kind, a, transition(x, target(letter, n)))
+    return transition(res, x.word) if isinstance(res, LusztigDatum) else res
+
+
 def oracle_op(kind: str, a: int, x: LusztigDatum):
     """Crystal operator via transport to a word starting with a.
 
@@ -156,14 +166,7 @@ def oracle_op(kind: str, a: int, x: LusztigDatum):
     >>> oracle_op("eps", 1, LusztigDatum((2, 1, 2), (3, 1, 2)))
     1
     """
-    n = x.n
-    if not 1 <= a <= n - 1:
-        raise ValueError(f"a must lie in [n-1] = [{n - 1}]")
-    y = transition(x, word_starting_with(a, n))
-    res = _base_case(kind, a, y)
-    if isinstance(res, LusztigDatum):
-        return transition(res, x.word)
-    return res
+    return _transported_op(kind, a, x, word_starting_with, a)
 
 
 def oracle_star_op(kind: str, a: int, x: LusztigDatum):
@@ -180,14 +183,7 @@ def oracle_star_op(kind: str, a: int, x: LusztigDatum):
     >>> oracle_star_op("f", 1, LusztigDatum((1, 2, 1), (0, 0, 1))).values
     (0, 1, 0)
     """
-    n = x.n
-    if not 1 <= a <= n - 1:
-        raise ValueError(f"a must lie in [n-1] = [{n - 1}]")
-    y = transition(x, word_ending_with(n - a, n))
-    res = _base_case(kind, a, y)
-    if isinstance(res, LusztigDatum):
-        return transition(res, x.word)
-    return res
+    return _transported_op(kind, a, x, word_ending_with, x.n - a)
 
 
 def star_datum(x: LusztigDatum) -> LusztigDatum:

@@ -1,0 +1,266 @@
+"""The verification suites behind `crystaltiles verify`.
+
+Each suite re-checks one family of the package identities on seeded random
+instances of S_n.  A suite body takes (n, seed, rng) and returns its number
+of cases and its list of counterexample witnesses; `run` seeds rng from the
+suite name, the seed and n, and turns the result into one JSON-ready report.
+The same arguments always give the same reports.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+from .bz import bz_crystal_f, bz_from_lusztig
+from .crossings import (
+    crossing_rvec,
+    crystal_op,
+    dual_crystal_op,
+    enumerate_crossings,
+    generate_hw_crystal,
+    is_reineke,
+    poset_leq,
+)
+from .lusztig import LusztigDatum, oracle_op, oracle_star_op
+from .potentials import (
+    UnitriangularMatrix,
+    bk_identity_check,
+    cone_correspondence_check,
+    ghkk_restriction,
+    transform_check_rtrans,
+)
+from .strings import polar_duality_check
+from .tiling import build_tiling
+from .words import convex_order, enumerate_reduced_words
+
+__all__ = [
+    "SUITE_NAMES",
+    "run",
+    "weyl_dimension",
+    "lattice_failures",
+    "reselection_failures",
+]
+
+
+def weyl_dimension(lam) -> int:
+    """Dimension of the irreducible module with the given weight coefficients.
+
+    Product formula over the positive roots: for each pair a < b the factor
+    is (b - a + lam_a + ... + lam_{b-1}) / (b - a).
+
+    >>> weyl_dimension((1, 1))
+    8
+    >>> weyl_dimension((2, 1))
+    15
+    """
+    lam = tuple(lam)
+    n = len(lam) + 1
+    num = den = 1
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            num *= (b - a) + sum(lam[a - 1 : b - 1])
+            den *= b - a
+    assert num % den == 0
+    return num // den
+
+
+def lattice_failures(tiling, a, dual=False) -> list:
+    """Pairs without a unique bound, and bounds leaving the Reineke subset."""
+    cs = enumerate_crossings(tiling, a, dual)
+    leq = {(c, d): poset_leq(c, d) for c in cs for d in cs}
+    geq = {(c, d): v for (d, c), v in leq.items()}
+    fails = []
+    for i, c in enumerate(cs):
+        for d in cs[i:]:
+            for le in (leq, geq):  # least upper bound, then greatest lower bound
+                cand = [e for e in cs if le[c, e] and le[d, e]]
+                best = [e for e in cand if all(le[e, f] for f in cand)]
+                if len(best) != 1:
+                    fails.append(("missing bound", a, dual))
+                elif is_reineke(c) and is_reineke(d) and not is_reineke(best[0]):
+                    fails.append(("not a sublattice", a, dual))
+    return fails
+
+
+def reselection_failures(word, a, dual=False) -> list:
+    """Reineke crossings that f does not re-select at the negative part of rvec."""
+    word = tuple(word)
+    fails = []
+    for c in enumerate_crossings(build_tiling(word), a, dual):
+        if not is_reineke(c):
+            continue
+        r = crossing_rvec(c)
+        x = LusztigDatum(word, tuple(max(0, -v) for v in r))
+        y = (dual_crystal_op if dual else crystal_op)("f", a, x)
+        if tuple(p - q for p, q in zip(y.values, x.values)) != r:
+            fails.append((list(word), a, dual, list(r)))
+    return fails
+
+
+# ---------------------------------------------------------------------------
+# suite bodies: (n, seed, rng) -> (cases, witnesses)
+
+
+def _pick_words(n, cap, rng):
+    words = enumerate_reduced_words(n)
+    return sorted(rng.sample(words, cap)) if len(words) > cap else words
+
+
+def _random_datum(word, rng):
+    return LusztigDatum(word, tuple(rng.randint(0, 2) for _ in word))
+
+
+def _crossing(n, seed, rng):
+    """Crossing-formula operators against the transport oracle."""
+    bad = []
+    cases = 0
+    for w in _pick_words(n, 8, rng):
+        for _ in range(30):
+            x = _random_datum(w, rng)
+            for a in range(1, n):
+                for kind in ("f", "e", "eps"):
+                    cases += 2
+                    if crystal_op(kind, a, x) != oracle_op(kind, a, x):
+                        bad.append({"word": list(w), "a": a, "kind": kind, "x": list(x.values)})
+                    if dual_crystal_op(kind, a, x) != oracle_star_op(kind, a, x):
+                        bad.append(
+                            {"word": list(w), "a": a, "kind": kind + "*", "x": list(x.values)}
+                        )
+    return cases, bad
+
+
+def _duality(n, seed, rng):
+    """String data from the starred operators against the cone lattice points."""
+    bad = []
+    cases = 0
+    for w in _pick_words(n, 6, rng):
+        rep = polar_duality_check(w, box=3)
+        cases += rep["reached"]
+        if not rep["ok"]:
+            bad.append({"word": list(w), "failures": len(rep["failures"])})
+    return cases, bad
+
+
+def _am(n, seed, rng):
+    """Subset functions commute with the crystal operator f."""
+    bad = []
+    cases = 0
+    for w in _pick_words(n, 6, rng):
+        for _ in range(25):
+            x = _random_datum(w, rng)
+            z = bz_from_lusztig(x)
+            for a in range(1, n):
+                cases += 1
+                if bz_from_lusztig(crystal_op("f", a, x)) != bz_crystal_f(a, z):
+                    bad.append({"word": list(w), "a": a, "x": list(x.values)})
+    return cases, bad
+
+
+def _rtrans(n, seed, rng):
+    """Crossing polynomials transform through the lifts between any two words."""
+    words = enumerate_reduced_words(n)
+    bad = []
+    cases = 0
+    for _ in range(12):
+        i, j = rng.choice(words), rng.choice(words)
+        pts = [
+            {p: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for p in convex_order(i)}
+            for _ in range(4)
+        ]
+        for a in range(1, n):
+            rep = transform_check_rtrans(a, i, j, pts)
+            cases += rep["points"]
+            if not rep["ok"]:
+                bad.append({"words": [list(i), list(j)], "a": a})
+    return cases, bad
+
+
+def _ghkk(n, seed, rng):
+    """Potential restrictions and the cone correspondences."""
+    bad = []
+    cases = 0
+    for w in _pick_words(n, 6, rng):
+        for a in range(1, n):
+            ghkk_restriction(w, a)
+        rep = cone_correspondence_check(w, box=2, points=6, seed=seed, cap=60000)
+        cases += rep["lattice_points"] + rep["rational_points"]
+        if not rep["ok"]:
+            bad.append({"word": list(w), "failures": rep["failures"][:3]})
+    return cases, bad
+
+
+def _random_unitriangular(n, rng):
+    rows = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for r in range(n):
+        for c in range(r + 1, n):
+            rows[r][c] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return UnitriangularMatrix(rows)
+
+
+def _bk(n, seed, rng):
+    """Minor ratios against crossing polynomials at chamber-minor points."""
+    words = _pick_words(n, 6, rng)
+    bad = []
+    for w in words:
+        done = 0
+        while done < 12:
+            rep = bk_identity_check(w, _random_unitriangular(n, rng))
+            if rep["excluded"]:
+                continue
+            done += 1
+            if not rep["ok"]:
+                bad.append({"word": list(w), "failures": len(rep["failures"])})
+    return 12 * len(words), bad
+
+
+def _lattice(n, seed, rng):
+    """Order structure of the crossings and highest-weight crystal sizes."""
+    words = enumerate_reduced_words(n)
+    weights = list(product(range(2), repeat=n - 1))
+    bad = []
+    for w in words:
+        tiling = build_tiling(w)
+        for a in range(1, n):
+            for dual in (False, True):
+                fails = lattice_failures(tiling, a, dual) + reselection_failures(w, a, dual)
+                bad.extend({"word": list(w), "where": f} for f in fails)
+    for lam in weights:
+        size = len(generate_hw_crystal(lam, words[0]))
+        want = weyl_dimension(lam)
+        if size != want:
+            bad.append({"lam": list(lam), "size": size, "dimension": want})
+    return 2 * (n - 1) * len(words) + len(weights), bad
+
+
+_SUITES = {
+    "crossing": _crossing,
+    "duality": _duality,
+    "am": _am,
+    "rtrans": _rtrans,
+    "ghkk": _ghkk,
+    "bk": _bk,
+    "lattice": _lattice,
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
+def run(suite: str, n: int, seed: int = 0):
+    """Yield the report of the named suite, or of every suite for "all".
+
+    A report lists the case count, the number of counterexamples, the first
+    ten witnesses and whether the suite passed.
+
+    >>> [rep["ok"] for rep in run("am", 3)]
+    [True]
+    """
+    for name in SUITE_NAMES if suite == "all" else (suite,):
+        cases, bad = _SUITES[name](n, seed, random.Random(f"{name}:{seed}:{n}"))
+        yield {
+            "suite": name,
+            "n": n,
+            "seed": seed,
+            "cases": cases,
+            "counterexamples": len(bad),
+            "witnesses": bad[:10],
+            "ok": not bad,
+        }

@@ -252,10 +252,10 @@ def count_reduced_words(n: int) -> int:
     return math.factorial(big_n) // denom
 
 
-def too_many_words(n: int) -> bool:
-    """count_reduced_words(n) > MAX_ENUM_WORDS.  The count grows with n, so
-    ranks are tried upwards and no count past the budget is computed."""
-    return any(count_reduced_words(k) > MAX_ENUM_WORDS for k in range(2, n + 1))
+def too_many_words(n: int, limit: int = MAX_ENUM_WORDS) -> bool:
+    """count_reduced_words(n) > limit.  The count grows with n, so ranks are
+    tried upwards and no count past the first one over the limit is computed."""
+    return any(count_reduced_words(k) > limit for k in range(2, n + 1))
 
 
 @lru_cache(maxsize=16)

@@ -14,7 +14,6 @@ import sympy
 
 from conftest import RUNNING_KAPPA_3, RUNNING_KAPPA_5, weyl_dim_oracle
 from crystaltiles.bz import bz_crystal_f, bz_from_lusztig
-from crystaltiles.cli import lattice_failures, reselection_failures
 from crystaltiles.crossings import (
     crystal_op,
     dual_crystal_op,
@@ -35,6 +34,7 @@ from crystaltiles.potentials import (
 )
 from crystaltiles.strings import polar_duality_check, string_cone, string_datum
 from crystaltiles.tiling import build_tiling, flip, hexagons, kappa_partition
+from crystaltiles.verify import lattice_failures, reselection_failures
 from crystaltiles.words import convex_order, enumerate_reduced_words, move_path
 
 KINDS = ("f", "e", "eps")

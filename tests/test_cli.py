@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import crystaltiles
-from crystaltiles import cli
+from crystaltiles import cli, verify
 
 
 def run(capsys, argv):
@@ -141,6 +141,25 @@ def test_verify_deterministic(capsys):
     assert first == second
 
 
+VERIFY_ALL_N3_SEED0 = [
+    '{"cases": 720, "counterexamples": 0, "n": 3, "ok": true, "seed": 0, "suite": "crossing", "witnesses": []}',
+    '{"cases": 80, "counterexamples": 0, "n": 3, "ok": true, "seed": 0, "suite": "duality", "witnesses": []}',
+    '{"cases": 100, "counterexamples": 0, "n": 3, "ok": true, "seed": 0, "suite": "am", "witnesses": []}',
+    '{"cases": 96, "counterexamples": 0, "n": 3, "ok": true, "seed": 0, "suite": "rtrans", "witnesses": []}',
+    '{"cases": 262, "counterexamples": 0, "n": 3, "ok": true, "seed": 0, "suite": "ghkk", "witnesses": []}',
+    '{"cases": 24, "counterexamples": 0, "n": 3, "ok": true, "seed": 0, "suite": "bk", "witnesses": []}',
+    '{"cases": 12, "counterexamples": 0, "n": 3, "ok": true, "seed": 0, "suite": "lattice", "witnesses": []}',
+]
+
+
+def test_verify_all_n3_golden(capsys):
+    """Reports printed before the suites moved out of the CLI: a change in
+    any suite's sampling, case count or report format shows up here."""
+    code, out = run(capsys, ["verify", "--suite", "all", "--n", "3", "--seed", "0"])
+    assert code == 0
+    assert out.splitlines() == VERIFY_ALL_N3_SEED0
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["crystal", "--op", "q", "--a", "1", "--datum", "0", "--word", "1"])
@@ -181,6 +200,8 @@ def test_unknown_flag_exit_2():
         "bz --apply-f --n 40 --a 1 --values {}",
         "words --n 7",
         "verify --n 7",
+        "words --n 77 --count",
+        "words --n 100000 --count",
     ],
 )
 def test_bad_arguments_exit_2_without_traceback(argv, tmp_path):
@@ -198,7 +219,7 @@ def test_bad_arguments_exit_2_without_traceback(argv, tmp_path):
 
 
 def test_weyl_dimension_formula():
-    assert cli.weyl_dimension((1, 0)) == 3
-    assert cli.weyl_dimension((1, 1)) == 8
-    assert cli.weyl_dimension((2, 1)) == 15
-    assert cli.weyl_dimension((1, 1, 1)) == 64
+    assert verify.weyl_dimension((1, 0)) == 3
+    assert verify.weyl_dimension((1, 1)) == 8
+    assert verify.weyl_dimension((2, 1)) == 15
+    assert verify.weyl_dimension((1, 1, 1)) == 64

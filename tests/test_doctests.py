@@ -4,9 +4,9 @@ import doctest
 
 import pytest
 
-from crystaltiles import bz, cli, crossings, lusztig, potentials, strings, tiling, words
+from crystaltiles import bz, cli, crossings, lusztig, potentials, strings, tiling, verify, words
 
-MODULES = [words, tiling, lusztig, crossings, strings, bz, potentials, cli]
+MODULES = [words, tiling, lusztig, crossings, strings, bz, potentials, cli, verify]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__.split(".")[-1])
