@@ -1,14 +1,20 @@
-"""Lusztig data and the piecewise-linear transition maps between words.
+"""Lusztig data, the one transport layer, and the transition maps.
 
 A Lusztig datum assigns a natural number to every tile of a tiling (every
-positive root).  Coordinates are stored in the anchor word's order; moving
-the anchor is the piecewise-linear transition map: commutation moves only
-permute coordinates, a braid move at a hexagon with support s < t < u maps
+positive root), stored in the anchor word's root order.  Moving the anchor
+from i to j runs a flip rule along the braid moves of a move path, compiled
+once into positions in i's root order; commutation moves only permute
+coordinates.  At a hexagon s < t < u the rules send (a, b, c) = (x_st, x_su,
+x_tu), over a semiring (add, mul, div), to
 
-    y_[s,t] = x_[s,t] + x_[s,u] - m,   y_[s,u] = m,
-    y_[t,u] = x_[t,u] + x_[s,u] - m,   m = min(x_[s,t], x_[t,u]),
+    additive:        (a*b/(a+c), a+c, b*c/(a+c)),
+    multiplicative:  ((a*c+b)/c, a*c, b*c/(a*c+b)) in left form, its inverse
+                     (a*b/(b+a*c), a*c, (b+a*c)/a) in right form.
 
-an involution preserving nonnegativity.
+Over the rationals these are the geometric lifts of the potentials module.
+Over min-plus the additive rule is the transition map (a + b - m, m,
+c + b - m) with m = min(a, c), an involution preserving nonnegativity, and
+the multiplicative rule carries string data between words.
 
 The module also provides transport-based oracles for the crystal operators:
 move to a word where the operator is a one-coordinate base-case rule, apply
@@ -18,6 +24,7 @@ the crossing machinery, which is validated against them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,52 +74,62 @@ class LusztigDatum:
         """Values keyed by root pair (s, t)."""
         return dict(zip(convex_order(self.word), self.values))
 
-    def value(self, pair: tuple[int, int]) -> int:
-        return self.as_dict()[tuple(sorted(pair))]
-
-    @classmethod
-    def from_dict(cls, word, values: dict) -> "LusztigDatum":
-        word = tuple(word)
-        vals = {tuple(sorted(k)): v for k, v in values.items()}
-        return cls(word, tuple(vals[p] for p in convex_order(word)))
-
-    def replace(self, pair: tuple[int, int], value: int) -> "LusztigDatum":
-        k = convex_order(self.word).index(tuple(sorted(pair)))
-        vals = list(self.values)
-        vals[k] = value
-        return LusztigDatum(self.word, tuple(vals))
-
     def __repr__(self):
         return f"LusztigDatum({self.word}, {self.values})"
 
 
-@lru_cache(maxsize=None)
-def _transition_program(i: tuple[int, ...], j: tuple[int, ...]) -> tuple:
-    """The ([s,t], [s,u], [t,u]) pair triples of the flips along i -> j.
+_RATIONALS = (operator.add, operator.mul, operator.truediv)
+_MIN_PLUS = (min, operator.add, operator.sub)
 
-    Only the triples are cached: keeping the full braid_steps records, with
-    their words and vertices, raises the peak memory of a sweep over all S5
-    words by about 11%.
-    """
-    return tuple(pairs for pairs, *_ in braid_steps(i, j))
+
+def _additive_flip(ring, a, b, c, left_form):
+    """The additive lift of one flip; an involution, blind to the form."""
+    add, mul, div = ring
+    s = add(a, c)
+    return div(mul(a, b), s), s, div(mul(b, c), s)
+
+
+def _multiplicative_flip(ring, a, b, c, left_form):
+    """The multiplicative lift of one flip; the right form inverts the left."""
+    add, mul, div = ring
+    ac = mul(a, c)
+    if left_form:
+        s = add(ac, b)
+        return div(s, c), ac, div(mul(b, c), s)
+    s = add(b, ac)
+    return div(mul(a, b), s), ac, div(s, a)
+
+
+@lru_cache(maxsize=1024)
+def _flip_program(i: tuple[int, ...], j: tuple[int, ...]) -> tuple:
+    """The flips of braid_steps(i, j) as (p, q, r, left_form), with p, q, r
+    the positions of ([s,t], [s,u], [t,u]) in i's root order, and the
+    position in i's root order of each root of j."""
+    index = {root: k for k, root in enumerate(convex_order(i))}
+    flips = tuple((*map(index.get, pairs), left) for pairs, left, *_ in braid_steps(i, j))
+    return flips, tuple(map(index.get, convex_order(j)))
+
+
+def _transport(rule, ring, i, j, values) -> list:
+    """Carry values from the root order of word i to word j's, by rule over ring."""
+    if i == j:
+        return list(values)
+    flips, order = _flip_program(i, j)
+    vals = list(values)
+    for p, q, r, left_form in flips:
+        vals[p], vals[q], vals[r] = rule(ring, vals[p], vals[q], vals[r], left_form)
+    return [vals[k] for k in order]
 
 
 def transition(x: LusztigDatum, j) -> LusztigDatum:
-    """Re-anchor the datum x to the word j along a move path.
+    """Re-anchor the datum x to the word j: the additive rule over min-plus.
 
     >>> x = LusztigDatum((2, 1, 2), (3, 1, 2))
     >>> transition(x, (1, 2, 1)).values
     (1, 2, 2)
     """
     j = tuple(j)
-    if j == x.word:
-        return x
-    vals = x.as_dict()
-    for st, su, tu in _transition_program(x.word, j):
-        a, b, c = vals[st], vals[su], vals[tu]
-        m = min(a, c)
-        vals[st], vals[su], vals[tu] = a + b - m, m, c + b - m
-    return LusztigDatum(j, tuple(vals[p] for p in convex_order(j)))
+    return LusztigDatum(j, _transport(_additive_flip, _MIN_PLUS, x.word, j, x.values))
 
 
 @lru_cache(maxsize=None)
@@ -132,26 +149,24 @@ def word_ending_with(a: int, n: int) -> tuple[int, ...]:
     return reduced_word_of_permutation(tuple(lst)) + (a,)
 
 
-def _base_case(kind: str, a: int, y: LusztigDatum):
-    """Apply the one-coordinate rule at the tile [a, a+1]."""
-    v = y.value((a, a + 1))
-    if kind == "f":
-        return y.replace((a, a + 1), v + 1)
-    if kind == "e":
-        return y.replace((a, a + 1), v - 1) if v > 0 else None
-    if kind == "eps":
-        return v
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
-def _transported_op(kind: str, a: int, x: LusztigDatum, target, letter: int):
-    """Apply the base-case rule at [a, a+1] to x moved to target(letter, n),
-    and move a resulting datum back to x's word."""
+def _transported_op(kind: str, a: int, x: LusztigDatum, star: bool):
+    """Apply the base-case rule to x moved to a word starting with a (ending
+    with n - a when star), where the root [a, a+1] sits at position 0 (N - 1),
+    and move a resulting datum back."""
     n = x.n
     if not 1 <= a <= n - 1:
         raise ValueError(f"a must lie in [n-1] = [{n - 1}]")
-    res = _base_case(kind, a, transition(x, target(letter, n)))
-    return transition(res, x.word) if isinstance(res, LusztigDatum) else res
+    if kind not in ("f", "e", "eps"):
+        raise ValueError(f"unknown operator kind {kind!r}")
+    j = word_ending_with(n - a, n) if star else word_starting_with(a, n)
+    k = -1 if star else 0
+    vals = _transport(_additive_flip, _MIN_PLUS, x.word, j, x.values)
+    if kind == "eps":
+        return vals[k]
+    if kind == "e" and vals[k] == 0:
+        return None
+    vals[k] += 1 if kind == "f" else -1
+    return LusztigDatum(x.word, _transport(_additive_flip, _MIN_PLUS, j, x.word, vals))
 
 
 def oracle_op(kind: str, a: int, x: LusztigDatum):
@@ -166,7 +181,7 @@ def oracle_op(kind: str, a: int, x: LusztigDatum):
     >>> oracle_op("eps", 1, LusztigDatum((2, 1, 2), (3, 1, 2)))
     1
     """
-    return _transported_op(kind, a, x, word_starting_with, a)
+    return _transported_op(kind, a, x, star=False)
 
 
 def oracle_star_op(kind: str, a: int, x: LusztigDatum):
@@ -183,7 +198,7 @@ def oracle_star_op(kind: str, a: int, x: LusztigDatum):
     >>> oracle_star_op("f", 1, LusztigDatum((1, 2, 1), (0, 0, 1))).values
     (0, 1, 0)
     """
-    return _transported_op(kind, a, x, word_ending_with, x.n - a)
+    return _transported_op(kind, a, x, star=True)
 
 
 def star_datum(x: LusztigDatum) -> LusztigDatum:

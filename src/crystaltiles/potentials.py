@@ -3,13 +3,15 @@
 Everything here lives on tori attached to a tiling: tile coordinates (one per
 root pair) or vertex coordinates (one per vertex off the left boundary).  The
 crossing polynomials r_a sum the dual Reineke vectors of a word; under a flip
-they transform by a subtraction-free multiplicative braid rule, while their
-word-coordinate companions transform by an additive one whose min-plus shadow
-is exactly the transition map for Lusztig data.  The dual Chamber Ansatz and
-the Neighbour Ansatz connect the two tori; pushing r_a through them produces
-a potential with exponents in {0, -1} whose tropical cone is a unimodular
-image of the string cone, and evaluating through chamber minors recovers
-ratios of minors of a unitriangular matrix.  All identity checks are exact:
+they transform by the subtraction-free multiplicative lift, while their
+word-coordinate companions transform by the additive one.  Both lifts are the
+lusztig module's flip rules over the rationals, run along its compiled move
+paths; the transition map for Lusztig data is the additive rule over
+min-plus.  The dual Chamber Ansatz and the Neighbour Ansatz connect the two
+tori; pushing r_a through them produces a potential with exponents in
+{0, -1} whose tropical cone is a unimodular image of the string cone, and
+evaluating through chamber minors recovers ratios of minors of a
+unitriangular matrix.  All identity checks are exact:
 Fraction arithmetic at rational points, never tolerances.
 """
 
@@ -24,6 +26,7 @@ from math import lcm, prod
 
 from .crossings import reineke_vectors
 from .linalg import det, unimodular_inverse
+from .lusztig import _RATIONALS, _additive_flip, _multiplicative_flip, _transport
 from .strings import Cone, string_cone
 from .tiling import build_tiling
 from .words import braid_steps, convex_order, rank_of_word
@@ -294,13 +297,13 @@ def reineke_poly(word, a, dual: bool = True) -> LaurentPolynomial:
     return poly
 
 
-def _point_on(coords, point, positive: bool = True) -> dict:
+def _point_on(coords, point) -> dict:
     vals = {}
     for label in coords:
         if label not in point:
             raise ValueError(f"point is missing coordinate {label}")
         v = Fraction(point[label])
-        if positive and v <= 0:
+        if v <= 0:
             raise ValueError("point entries must be positive")
         vals[label] = v
     if len(point) != len(vals):
@@ -308,54 +311,31 @@ def _point_on(coords, point, positive: bool = True) -> dict:
     return vals
 
 
-def _trl_step(vals, st, su, tu):
-    a, b, c = vals[st], vals[su], vals[tu]
-    vals[st] = a * b / (a + c)
-    vals[su] = a + c
-    vals[tu] = b * c / (a + c)
-
-
-def _trs_step(vals, st, su, tu, left_form):
-    a, b, c = vals[st], vals[su], vals[tu]
-    if left_form:
-        vals[st] = (a * c + b) / c
-        vals[su] = a * c
-        vals[tu] = b * c / (a * c + b)
-    else:
-        vals[st] = a * b / (b + a * c)
-        vals[su] = a * c
-        vals[tu] = (b + a * c) / a
+def _eval_lift(rule, i, j, point) -> dict:
+    i, j = tuple(i), tuple(j)
+    vals = _point_on(convex_order(i), point).values()
+    return dict(zip(convex_order(j), _transport(rule, _RATIONALS, i, j, vals)))
 
 
 def eval_trl(i, j, point) -> dict:
-    """Transport a positive tile-coordinate point by the additive braid lift.
+    """Transport a positive tile-coordinate point by the additive lift.
 
-    A single flip turns (x_st, x_su, x_tu) into (x_st*x_su/(x_st + x_tu),
-    x_st + x_tu, x_su*x_tu/(x_st + x_tu)); its min-plus shadow is exactly the
-    transition rule for Lusztig data.  The rule is an involution, so paths
-    i -> j -> i restore the point.
+    This is the additive flip rule of the lusztig module over the rationals;
+    over min-plus the same rule is the transition map for Lusztig data.  The
+    rule is an involution, so paths i -> j -> i restore the point.
     """
-    i, j = tuple(i), tuple(j)
-    vals = _point_on(convex_order(i), point)
-    for pairs, *_ in braid_steps(i, j):
-        _trl_step(vals, *pairs)
-    return vals
+    return _eval_lift(_additive_flip, i, j, point)
 
 
 def eval_trs(i, j, point) -> dict:
     """Transport a positive tile-coordinate point by the multiplicative lift.
 
-    The rule is chirality-sensitive: flipping a left-form hexagon sends
-    (x_st, x_su, x_tu) to ((x_st*x_tu + x_su)/x_tu, x_st*x_tu,
-    x_su*x_tu/(x_st*x_tu + x_su)), and flipping the right form applies the
-    inverse map, so round trips are exact identities.  This is the transport
-    that the crossing polynomials r_a are invariant under.
+    This is the multiplicative flip rule of the lusztig module over the
+    rationals.  It is chirality-sensitive: the right form inverts the left,
+    so round trips are exact identities.  The crossing polynomials r_a are
+    invariant under this transport.
     """
-    i, j = tuple(i), tuple(j)
-    vals = _point_on(convex_order(i), point)
-    for pairs, left_form, *_ in braid_steps(i, j):
-        _trs_step(vals, *pairs, left_form)
-    return vals
+    return _eval_lift(_multiplicative_flip, i, j, point)
 
 
 def transform_check_rtrans(a, i, j, points) -> dict:
@@ -645,13 +625,14 @@ def eval_cluster_mutation(kind, i, j, point) -> dict:
 
     The flips come from braid_steps(i, j), which gives the interior vertex of
     each hexagon before and after its flip.  kind "A" mutates vertex values
-    by the exchange rule: the inner vertex of each flipped hexagon is replaced by (product over in-arrows + product
-    over out-arrows) divided by the old value, arrows counted in the quiver
-    before the flip.  kind "X" inverts the inner value and rescales every
-    neighbour v by (1 + x_k^{-sign e})^{-e} with e the signed arrow count
-    from v to the inner vertex.  Every step asserts its commuting square:
-    the neighbour map intertwines "A" steps with the multiplicative lift,
-    and the dual chamber map intertwines the lift with "X" steps.
+    by the exchange rule: the inner vertex of each flipped hexagon is
+    replaced by (product over in-arrows + product over out-arrows) divided
+    by the old value, arrows counted in the quiver before the flip.  kind
+    "X" inverts the inner value and rescales every neighbour v by
+    (1 + x_k^{-sign e})^{-e} with e the signed arrow count from v to the
+    inner vertex.  Every step asserts its commuting square: the neighbour map
+    intertwines "A" steps with the multiplicative lift, and the dual chamber
+    map intertwines the lift with "X" steps.
     """
     i, j = tuple(i), tuple(j)
     if kind not in ("A", "X"):
@@ -672,7 +653,8 @@ def eval_cluster_mutation(kind, i, j, point) -> dict:
             new[ninner] = (top + bot) / vals[inner]
             lhs = neighbour_ansatz(w2).apply(new)
             rhs = neighbour_ansatz(w).apply(vals)
-            _trs_step(rhs, *pairs, left_form)
+            lifted = _multiplicative_flip(_RATIONALS, *map(rhs.get, pairs), left_form)
+            rhs.update(zip(pairs, lifted))
             assert lhs == rhs, "vertex exchange must match the lift through neighbours"
         else:
             new = {}
@@ -688,7 +670,8 @@ def eval_cluster_mutation(kind, i, j, point) -> dict:
                     new[v] = vals[v] * (1 + vals[inner]) ** -e
             new[ninner] = 1 / vals[inner]
             x = _unimodular_inverse(chamber_ansatz_dual(w)).apply(vals)
-            _trs_step(x, *pairs, left_form)
+            lifted = _multiplicative_flip(_RATIONALS, *map(x.get, pairs), left_form)
+            x.update(zip(pairs, lifted))
             assert (
                 chamber_ansatz_dual(w2).apply(x) == new
             ), "coefficient mutation must match the lift through chambers"

@@ -152,10 +152,25 @@ VERIFY_ALL_N3_SEED0 = [
 ]
 
 
-def test_verify_all_n3_golden(capsys):
+@pytest.mark.parametrize("mode", ["in-process", "optimized"])
+def test_verify_all_n3_golden(mode, capsys):
     """Reports printed before the suites moved out of the CLI: a change in
-    any suite's sampling, case count or report format shows up here."""
-    code, out = run(capsys, ["verify", "--suite", "all", "--n", "3", "--seed", "0"])
+    any suite's sampling, case count or report format shows up here.  The
+    optimized run, under python -O in a subprocess, shows a self-check that
+    changes results through a side effect of its assert."""
+    argv = ["verify", "--suite", "all", "--n", "3", "--seed", "0"]
+    if mode == "in-process":
+        code, out = run(capsys, argv)
+    else:
+        src = str(Path(crystaltiles.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "crystaltiles.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        code, out = proc.returncode, proc.stdout
     assert code == 0
     assert out.splitlines() == VERIFY_ALL_N3_SEED0
 

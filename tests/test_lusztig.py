@@ -1,5 +1,7 @@
 """Lusztig data: transition maps, transport oracles, weights."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,9 +16,30 @@ from crystaltiles.lusztig import (
     word_ending_with,
     word_starting_with,
 )
-from crystaltiles.words import enumerate_reduced_words
+from crystaltiles.words import braid_steps, convex_order, enumerate_reduced_words
 
-WORDS4 = enumerate_reduced_words(4)
+WORDS = {n: enumerate_reduced_words(n) for n in (2, 3, 4, 5)}
+WORDS4 = WORDS[4]
+
+
+def reference_transition(x, j):
+    """The hand-written min rule, flip by flip on values keyed by root pair."""
+    vals = x.as_dict()
+    for (st, su, tu), *_ in braid_steps(x.word, j):
+        a, b, c = vals[st], vals[su], vals[tu]
+        m = min(a, c)
+        vals[st], vals[su], vals[tu] = a + b - m, m, c + b - m
+    return LusztigDatum(j, tuple(vals[p] for p in convex_order(j)))
+
+
+def test_transition_matches_reference_min_rule():
+    rng = random.Random("transition-reference")
+    pairs = [(i, j) for n in (2, 3, 4) for i in WORDS[n] for j in WORDS[n]]
+    pairs += [(rng.choice(WORDS[5]), rng.choice(WORDS[5])) for _ in range(60)]
+    for i, j in pairs:
+        for _ in range(4):
+            x = LusztigDatum(i, tuple(rng.randint(0, 5) for _ in i))
+            assert transition(x, j) == reference_transition(x, j)
 
 
 def test_transition_braid_example():
@@ -95,5 +118,10 @@ def test_eps_counts_f_applications():
 
 
 def test_bad_kind_rejected():
+    x = LusztigDatum((1, 2, 1), (0, 0, 0))
     with pytest.raises(ValueError):
-        oracle_op("g", 1, LusztigDatum((1, 2, 1), (0, 0, 0)))
+        oracle_op("g", 1, x)
+    for oracle in (oracle_op, oracle_star_op):
+        for a in (0, 3):
+            with pytest.raises(ValueError, match="a must lie"):
+                oracle("f", a, x)

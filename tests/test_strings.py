@@ -1,8 +1,17 @@
 """String data, string cones, polar duality."""
 
+import random
+from itertools import product
+
 import pytest
 
-from crystaltiles.lusztig import LusztigDatum
+from crystaltiles.lusztig import (
+    _MIN_PLUS,
+    LusztigDatum,
+    _multiplicative_flip,
+    _transport,
+    transition,
+)
 from crystaltiles.strings import (
     Cone,
     cone_points,
@@ -69,3 +78,20 @@ def test_string_datum_nonnegative():
     s = string_datum(x)
     assert all(v >= 0 for v in s.values)
     assert len(s.values) == len(word)
+
+
+def test_multiplicative_rule_over_min_plus_transports_string_data():
+    """The string side of the duality: the multiplicative lift, tropicalised,
+    carries string data between words, read in each word's root order."""
+    rng = random.Random("string-transport")
+    words3 = enumerate_reduced_words(3)
+    cases = [(i, j, v) for i in words3 for j in words3 for v in product(range(3), repeat=3)]
+    for n, count, top in ((4, 60, 3), (5, 25, 2)):
+        words = enumerate_reduced_words(n)
+        for _ in range(count):
+            i, j = rng.choice(words), rng.choice(words)
+            cases += [(i, j, [rng.randint(0, top) for _ in i]) for _ in range(3)]
+    for i, j, vals in cases:
+        x = LusztigDatum(i, vals)
+        moved = _transport(_multiplicative_flip, _MIN_PLUS, i, j, string_datum(x).values)
+        assert moved == list(string_datum(transition(x, j)).values)
