@@ -207,9 +207,17 @@ def star_datum(x: LusztigDatum) -> LusztigDatum:
     Involutive together with transition: star_datum(star_datum(x)) comes back
     to x after re-anchoring.
     """
-    j = star_word(x.word)
-    vals = x.as_dict()
-    return LusztigDatum(j, tuple(vals[p] for p in convex_order(j)))
+    j, order = _star_order(x.word)
+    return LusztigDatum(j, tuple(x.values[k] for k in order))
+
+
+@lru_cache(maxsize=1024)
+def _star_order(word: tuple[int, ...]) -> tuple:
+    """The star word of word, and the position in word's root order of each
+    root of the star word, in its own root order."""
+    j = star_word(word)
+    index = {root: k for k, root in enumerate(convex_order(word))}
+    return j, tuple(index[root] for root in convex_order(j))
 
 
 def weight(x: LusztigDatum) -> tuple[int, ...]:

@@ -363,7 +363,11 @@ def convex_order(word: Word) -> tuple[tuple[int, int], ...]:
     >>> convex_order((2, 1, 2))
     ((2, 3), (1, 3), (1, 2))
     """
-    word = tuple(word)
+    return _convex_order(tuple(word))
+
+
+@lru_cache(maxsize=1024)
+def _convex_order(word: Word) -> tuple[tuple[int, int], ...]:
     n = rank_of_word(word)
     prefixes = prefix_permutations(word, n)
     roots = []

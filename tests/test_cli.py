@@ -158,21 +158,36 @@ def test_verify_all_n3_golden(mode, capsys):
     any suite's sampling, case count or report format shows up here.  The
     optimized run, under python -O in a subprocess, shows a self-check that
     changes results through a side effect of its assert."""
-    argv = ["verify", "--suite", "all", "--n", "3", "--seed", "0"]
-    if mode == "in-process":
-        code, out = run(capsys, argv)
-    else:
-        src = str(Path(crystaltiles.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "crystaltiles.cli", *argv],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        code, out = proc.returncode, proc.stdout
+    code, out = run_in_mode(mode, capsys, ["verify", "--suite", "all", "--n", "3", "--seed", "0"])
     assert code == 0
     assert out.splitlines() == VERIFY_ALL_N3_SEED0
+
+
+def run_in_mode(mode, capsys, argv):
+    """Run the CLI in this process, or under python -O in a subprocess."""
+    if mode == "in-process":
+        return run(capsys, argv)
+    src = str(Path(crystaltiles.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "crystaltiles.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("mode", ["in-process", "optimized"])
+def test_verify_duality_n4_golden(mode, capsys):
+    """The duality report printed before string tails were shared and cone
+    points were found by a pruned walk."""
+    code, out = run_in_mode(mode, capsys, ["verify", "--suite", "duality", "--n", "4"])
+    assert code == 0
+    assert out.splitlines() == [
+        '{"cases": 4656, "counterexamples": 0, "n": 4, "ok": true, "seed": 0,'
+        ' "suite": "duality", "witnesses": []}'
+    ]
 
 
 def test_usage_error_exit_2():
