@@ -20,18 +20,29 @@ compares closures: gamma <= lambda iff cl(gamma) <= cl(lambda) and
 op(gamma) <= op(lambda), where cl(gamma) is gamma plus the tiles left of
 travel, read off the counter-clockwise tile edges by tiling.closure_tiles
 (exact, no coordinates), and op(gamma) = cl(gamma) - gamma.  Both extreme
-maximizers are unique and Reineke; this is asserted on every application
-rather than assumed.
+maximizers are unique and Reineke; this is checked on every application
+rather than assumed, by explicit raises that also run under python -O.
+
+One table per (tiling, a, dual) holds all of this: a row per crossing, in
+enumeration order, with the crossing, its rvec, the datum positions its form
+adds and subtracts, its Reineke flag and its up-set in the closure order as
+row indices.  Every reader goes through it; closures live only while a table
+is built, and nothing is keyed by a Crossing.  The cache keeps 256 tables of
+about 3 KB each at n = 5: the 128 primal tables that the operators on 16
+words read (8 per word, with its star word), or the 12 tables the lattice
+suite reads per word.  All 6144 tables of n = 5 would take about 19 MB and
+spare only star-word rebuilds.
 
 Dual operators reduce to primal ones on the reversed-complemented word
 (values transferred along equal tile pairs); the direct dual enumeration is
-kept and asserted equal to the reduction.
+kept and checked equal to the reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .lusztig import LusztigDatum, star_datum
 from .tiling import Tile, Tiling, build_tiling, closure_tiles, kappa_partition, strip
@@ -76,7 +87,8 @@ def _strip_sequence(path: tuple[Tile, ...], a: int) -> tuple[int, ...]:
     seq = [a]
     for t1, t2 in zip(path, path[1:]):
         common = set(t1.pair) & set(t2.pair)
-        assert len(common) == 1, "consecutive crossing tiles share one strip"
+        if len(common) != 1:
+            raise AssertionError("consecutive crossing tiles share one strip")
         s = common.pop()
         if s != seq[-1]:
             seq.append(s)
@@ -85,8 +97,8 @@ def _strip_sequence(path: tuple[Tile, ...], a: int) -> tuple[int, ...]:
     return tuple(seq)
 
 
-@lru_cache(maxsize=None)
-def _enumerate(tiling: Tiling, a: int, dual: bool) -> tuple[Crossing, ...]:
+def _crossings(tiling: Tiling, a: int, dual: bool) -> tuple[Crossing, ...]:
+    """The crossing search: every kappa-ascending path between the strip ends."""
     n = tiling.n
     if n > MAX_ENUM_RANK:
         raise ValueError(
@@ -117,28 +129,15 @@ def _enumerate(tiling: Tiling, a: int, dual: bool) -> tuple[Crossing, ...]:
             key=lambda c: (len(c.tiles), tuple(t.pair for t in c.tiles)),
         )
     )
-    assert len({c.strips for c in crossings}) == len(crossings), (
-        "strip sequences determine crossings uniquely"
-    )
+    if len({c.strips for c in crossings}) != len(crossings):
+        raise AssertionError("strip sequences determine crossings uniquely")
     if dual:
-        mirror = build_tiling(star_word(tiling.word))
-        primal = _enumerate(mirror, a, False)
+        mirror = _crossings(build_tiling(star_word(tiling.word)), a, False)
         ours = {(tuple(t.pair for t in c.tiles), c.strips) for c in crossings}
-        theirs = {(tuple(t.pair for t in c.tiles), c.strips) for c in primal}
-        assert ours == theirs, "dual crossings disagree with the reversed word"
+        theirs = {(tuple(t.pair for t in c.tiles), c.strips) for c in mirror}
+        if ours != theirs:
+            raise AssertionError("dual crossings disagree with the reversed word")
     return crossings
-
-
-def enumerate_crossings(tiling: Tiling, a: int, dual: bool = False) -> tuple[Crossing, ...]:
-    """All (dual) a-crossings of the tiling, sorted by length, then by tile pairs.
-
-    The dual set is computed twice, directly and through the
-    reversed-complemented word, and the two enumerations are asserted equal.
-
-    >>> len(enumerate_crossings(build_tiling((1, 2, 1)), 1))
-    1
-    """
-    return _enumerate(tiling, a, dual)
 
 
 def _rvec_by_pair(c: Crossing) -> dict[tuple[int, int], int]:
@@ -146,46 +145,10 @@ def _rvec_by_pair(c: Crossing) -> dict[tuple[int, int], int]:
     pairs = {t.pair for t in c.tiles}
     for s, t in zip(c.strips, c.strips[1:]):
         pair = (s, t) if s < t else (t, s)
-        assert pair in pairs and pair not in out
+        if pair not in pairs or pair in out:
+            raise AssertionError(f"{c!r}: strip change {pair} is not one tile of the path")
         out[pair] = 1 if t > s else -1
     return out
-
-
-def crossing_rvec(c: Crossing) -> tuple[int, ...]:
-    """rvec as a vector in the anchor word's root order: +-1 at transition tiles."""
-    rv = _rvec_by_pair(c)
-    return tuple(rv.get(p, 0) for p in convex_order(c.tiling.word))
-
-
-def crossing_form(c: Crossing, x: LusztigDatum) -> int:
-    """Evaluate the crossing's linear form on a Lusztig datum of the same word."""
-    if x.word != c.tiling.word:
-        raise ValueError("datum and crossing anchored to different words")
-    a = c.a
-    rv = _rvec_by_pair(c)
-    vals = x.as_dict()
-    total = 0
-    for tile in c.tiles:
-        s, t = tile.pair
-        if s <= a < a + 1 <= t:
-            total += vals[tile.pair]
-        elif rv.get(tile.pair, 0) == 0:
-            total -= vals[tile.pair]
-    return total
-
-
-@lru_cache(maxsize=None)
-def _closure(c: Crossing) -> frozenset[Tile]:
-    return closure_tiles(c.tiling, c.tiles, c.a, c.dual)
-
-
-def poset_leq(c1: Crossing, c2: Crossing) -> bool:
-    """The closure order: cl(c1) <= cl(c2) and op(c1) <= op(c2)."""
-    if (c1.tiling, c1.a, c1.dual) != (c2.tiling, c2.a, c2.dual):
-        raise ValueError("crossings live in different posets")
-    cl1, cl2 = _closure(c1), _closure(c2)
-    op1, op2 = cl1 - set(c1.tiles), cl2 - set(c2.tiles)
-    return cl1 <= cl2 and op1 <= op2
 
 
 def is_reineke(c: Crossing) -> bool:
@@ -207,35 +170,83 @@ def is_reineke(c: Crossing) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _op_table(tiling: Tiling, a: int, dual: bool):
-    """Per-(tiling, a) data for fast formula evaluation.
+class _Row(NamedTuple):
+    """One crossing of a table, with everything the operators read of it."""
 
-    Returns (crossings, rvecs, plus/minus index lists, reineke flags,
-    leq incidence sets).
-    """
+    crossing: Crossing
+    rvec: tuple[int, ...]  # in the anchor word's root order
+    plus: tuple[int, ...]  # datum positions the form adds
+    minus: tuple[int, ...]  # datum positions the form subtracts
+    reineke: bool
+    up: frozenset[int]  # indices of the rows at or above this one
+
+
+@lru_cache(maxsize=256)
+def _table(tiling: Tiling, a: int, dual: bool) -> tuple[_Row, ...]:
+    """The (dual) a-crossings of the tiling as indexed rows, in enumeration order."""
     order = convex_order(tiling.word)
     index = {p: k for k, p in enumerate(order)}
-    crossings = _enumerate(tiling, a, dual)
-    rvecs, plus, minus, reineke = [], [], [], []
-    for c in crossings:
+    crossings = _crossings(tiling, a, dual)
+    closures = [closure_tiles(tiling, c.tiles, a, dual) for c in crossings]
+    cl_op = [(cl, cl.difference(c.tiles)) for cl, c in zip(closures, crossings)]
+    rows = []
+    for c, (cl, op) in zip(crossings, cl_op):
         rv = _rvec_by_pair(c)
-        rvecs.append(tuple(rv.get(p, 0) for p in order))
-        p_idx, m_idx = [], []
-        for tile in c.tiles:
-            s, t = tile.pair
-            if s <= a < a + 1 <= t:
-                p_idx.append(index[tile.pair])
-            elif rv.get(tile.pair, 0) == 0:
-                m_idx.append(index[tile.pair])
-        plus.append(tuple(p_idx))
-        minus.append(tuple(m_idx))
-        reineke.append(is_reineke(c))
-    leq = [
-        frozenset(j for j, cj in enumerate(crossings) if poset_leq(ci, cj))
-        for ci in crossings
-    ]
-    return crossings, tuple(rvecs), tuple(plus), tuple(minus), tuple(reineke), tuple(leq)
+        pairs = [t.pair for t in c.tiles]
+        plus = tuple(index[p] for p in pairs if p[0] <= a < p[1])
+        minus = tuple(index[p] for p in pairs if not p[0] <= a < p[1] and p not in rv)
+        up = frozenset(j for j, (cl2, op2) in enumerate(cl_op) if cl <= cl2 and op <= op2)
+        rvec = tuple(rv.get(p, 0) for p in order)
+        rows.append(_Row(c, rvec, plus, minus, is_reineke(c), up))
+    return tuple(rows)
+
+
+def _locate(c: Crossing) -> tuple[tuple[_Row, ...], int]:
+    """The table holding c and c's row index; strip sequences are unique there."""
+    rows = _table(c.tiling, c.a, c.dual)
+    for k, row in enumerate(rows):
+        if row.crossing.strips == c.strips:
+            return rows, k
+    raise ValueError(f"{c!r} is not a crossing of its tiling")
+
+
+def _form(row: _Row, values: tuple[int, ...]) -> int:
+    return sum(values[i] for i in row.plus) - sum(values[i] for i in row.minus)
+
+
+def enumerate_crossings(tiling: Tiling, a: int, dual: bool = False) -> tuple[Crossing, ...]:
+    """All (dual) a-crossings of the tiling, sorted by length, then by tile pairs.
+
+    The dual set is computed twice, directly and through the
+    reversed-complemented word, and the two enumerations are checked equal.
+
+    >>> len(enumerate_crossings(build_tiling((1, 2, 1)), 1))
+    1
+    """
+    return tuple(row.crossing for row in _table(tiling, a, dual))
+
+
+def crossing_rvec(c: Crossing) -> tuple[int, ...]:
+    """rvec as a vector in the anchor word's root order: +-1 at transition tiles."""
+    rows, k = _locate(c)
+    return rows[k].rvec
+
+
+def crossing_form(c: Crossing, x: LusztigDatum) -> int:
+    """Evaluate the crossing's linear form on a Lusztig datum of the same word."""
+    if x.word != c.tiling.word:
+        raise ValueError("datum and crossing anchored to different words")
+    rows, k = _locate(c)
+    return _form(rows[k], x.values)
+
+
+def poset_leq(c1: Crossing, c2: Crossing) -> bool:
+    """The closure order: cl(c1) <= cl(c2) and op(c1) <= op(c2)."""
+    if (c1.tiling, c1.a, c1.dual) != (c2.tiling, c2.a, c2.dual):
+        raise ValueError("crossings live in different posets")
+    rows, i = _locate(c1)
+    _, j = _locate(c2)
+    return j in rows[i].up
 
 
 def crystal_op(kind: str, a: int, x: LusztigDatum):
@@ -250,36 +261,33 @@ def crystal_op(kind: str, a: int, x: LusztigDatum):
     >>> crystal_op("f", 1, LusztigDatum((2, 1, 2), (3, 1, 2))).values
     (2, 2, 2)
     """
-    tiling = build_tiling(x.word)
-    crossings, rvecs, plus, minus, reineke, leq = _op_table(tiling, a, False)
+    rows = _table(build_tiling(x.word), a, False)
     vals = x.values
-    forms = [
-        sum(vals[i] for i in plus[k]) - sum(vals[i] for i in minus[k])
-        for k in range(len(crossings))
-    ]
+    forms = [_form(row, vals) for row in rows]
     eps = max(forms)
     if kind == "eps":
-        assert eps == max(
-            f for f, r in zip(forms, reineke) if r
-        ), "maximum not attained on Reineke crossings"
+        if not any(f == eps and row.reineke for f, row in zip(forms, rows)):
+            raise AssertionError(f"eps_{a}: maximum not attained on Reineke crossings at {x}")
         return eps
     argmax = [k for k, f in enumerate(forms) if f == eps]
     if kind == "f":
-        extreme = [k for k in argmax if all(j == k or j not in leq[k] for j in argmax)]
+        extreme = [k for k in argmax if all(j == k or j not in rows[k].up for j in argmax)]
     elif kind == "e":
         if eps == 0:
             return None
-        extreme = [k for k in argmax if all(j == k or k not in leq[j] for j in argmax)]
+        extreme = [k for k in argmax if all(j == k or k not in rows[j].up for j in argmax)]
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
-    assert len(extreme) == 1, (
-        f"{kind}_{a}: order-extreme maximizer not unique at {x}: "
-        f"{[crossings[k] for k in extreme]}"
-    )
-    k = extreme[0]
-    assert reineke[k], f"{kind}_{a}: selected crossing {crossings[k]} is not Reineke"
+    if len(extreme) != 1:
+        raise AssertionError(
+            f"{kind}_{a}: order-extreme maximizer not unique at {x}: "
+            f"{[rows[k].crossing for k in extreme]}"
+        )
+    row = rows[extreme[0]]
+    if not row.reineke:
+        raise AssertionError(f"{kind}_{a}: selected crossing {row.crossing} is not Reineke")
     sign = 1 if kind == "f" else -1
-    return LusztigDatum(x.word, tuple(v + sign * r for v, r in zip(vals, rvecs[k])))
+    return LusztigDatum(x.word, tuple(v + sign * r for v, r in zip(vals, row.rvec)))
 
 
 def dual_crystal_op(kind: str, a: int, x: LusztigDatum):
@@ -301,9 +309,7 @@ def reineke_vectors(tiling: Tiling, a: int, dual: bool = False) -> frozenset[tup
 
     Coincides with {f_a x - x} (resp. starred) over all Lusztig data.
     """
-    return frozenset(
-        crossing_rvec(c) for c in _enumerate(tiling, a, dual) if is_reineke(c)
-    )
+    return frozenset(row.rvec for row in _table(tiling, a, dual) if row.reineke)
 
 
 def hw_membership(x: LusztigDatum, lam: tuple[int, ...]) -> bool:
@@ -317,13 +323,9 @@ def hw_membership(x: LusztigDatum, lam: tuple[int, ...]) -> bool:
     if len(lam) != n - 1 or any(v < 0 for v in lam):
         raise ValueError("lam must be a dominant weight: n-1 nonnegative integers")
     tiling = build_tiling(x.word)
-    for a in range(1, n):
-        crossings, rvecs, plus, minus, _, _ = _op_table(tiling, a, True)
-        for k in range(len(crossings)):
-            form = sum(x.values[i] for i in plus[k]) - sum(x.values[i] for i in minus[k])
-            if form > lam[a - 1]:
-                return False
-    return True
+    return not any(
+        _form(row, x.values) > lam[a - 1] for a in range(1, n) for row in _table(tiling, a, True)
+    )
 
 
 def generate_hw_crystal(lam: tuple[int, ...], word) -> frozenset[LusztigDatum]:

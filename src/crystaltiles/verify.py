@@ -12,15 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 from .bz import bz_crystal_f, bz_from_lusztig
-from .crossings import (
-    crossing_rvec,
-    crystal_op,
-    dual_crystal_op,
-    enumerate_crossings,
-    generate_hw_crystal,
-    is_reineke,
-    poset_leq,
-)
+from .crossings import _table, crystal_op, dual_crystal_op, generate_hw_crystal
 from .lusztig import LusztigDatum, oracle_op, oracle_star_op
 from .potentials import (
     UnitriangularMatrix,
@@ -66,18 +58,18 @@ def weyl_dimension(lam) -> int:
 
 def lattice_failures(tiling, a, dual=False) -> list:
     """Pairs without a unique bound, and bounds leaving the Reineke subset."""
-    cs = enumerate_crossings(tiling, a, dual)
-    leq = {(c, d): poset_leq(c, d) for c in cs for d in cs}
-    geq = {(c, d): v for (d, c), v in leq.items()}
+    rows = _table(tiling, a, dual)
+    up = [row.up for row in rows]
+    down = [frozenset(i for i, above in enumerate(up) if k in above) for k in range(len(rows))]
     fails = []
-    for i, c in enumerate(cs):
-        for d in cs[i:]:
-            for le in (leq, geq):  # least upper bound, then greatest lower bound
-                cand = [e for e in cs if le[c, e] and le[d, e]]
-                best = [e for e in cand if all(le[e, f] for f in cand)]
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            for bounds in (up, down):  # least upper bound, then greatest lower bound
+                cand = bounds[i] & bounds[j]
+                best = [e for e in cand if cand <= bounds[e]]
                 if len(best) != 1:
                     fails.append(("missing bound", a, dual))
-                elif is_reineke(c) and is_reineke(d) and not is_reineke(best[0]):
+                elif row.reineke and rows[j].reineke and not rows[best[0]].reineke:
                     fails.append(("not a sublattice", a, dual))
     return fails
 
@@ -85,15 +77,15 @@ def lattice_failures(tiling, a, dual=False) -> list:
 def reselection_failures(word, a, dual=False) -> list:
     """Reineke crossings that f does not re-select at the negative part of rvec."""
     word = tuple(word)
+    op = dual_crystal_op if dual else crystal_op
     fails = []
-    for c in enumerate_crossings(build_tiling(word), a, dual):
-        if not is_reineke(c):
+    for row in _table(build_tiling(word), a, dual):
+        if not row.reineke:
             continue
-        r = crossing_rvec(c)
-        x = LusztigDatum(word, tuple(max(0, -v) for v in r))
-        y = (dual_crystal_op if dual else crystal_op)("f", a, x)
-        if tuple(p - q for p, q in zip(y.values, x.values)) != r:
-            fails.append((list(word), a, dual, list(r)))
+        x = LusztigDatum(word, tuple(max(0, -v) for v in row.rvec))
+        y = op("f", a, x)
+        if tuple(p - q for p, q in zip(y.values, x.values)) != row.rvec:
+            fails.append((list(word), a, dual, list(row.rvec)))
     return fails
 
 

@@ -178,16 +178,23 @@ def run_in_mode(mode, capsys, argv):
     return proc.returncode, proc.stdout
 
 
+VERIFY_N4 = {
+    "duality": '{"cases": 4656, "counterexamples": 0, "n": 4, "ok": true, "seed": 0,'
+    ' "suite": "duality", "witnesses": []}',
+    "lattice": '{"cases": 104, "counterexamples": 0, "n": 4, "ok": true, "seed": 0,'
+    ' "suite": "lattice", "witnesses": []}',
+}
+
+
 @pytest.mark.parametrize("mode", ["in-process", "optimized"])
-def test_verify_duality_n4_golden(mode, capsys):
-    """The duality report printed before string tails were shared and cone
-    points were found by a pruned walk."""
-    code, out = run_in_mode(mode, capsys, ["verify", "--suite", "duality", "--n", "4"])
+@pytest.mark.parametrize("suite", sorted(VERIFY_N4))
+def test_verify_n4_golden(suite, mode, capsys):
+    """Reports printed before string tails were shared and cone points were
+    found by a pruned walk (duality), and before crossings became table
+    indices (lattice)."""
+    code, out = run_in_mode(mode, capsys, ["verify", "--suite", suite, "--n", "4"])
     assert code == 0
-    assert out.splitlines() == [
-        '{"cases": 4656, "counterexamples": 0, "n": 4, "ok": true, "seed": 0,'
-        ' "suite": "duality", "witnesses": []}'
-    ]
+    assert out.splitlines() == [VERIFY_N4[suite]]
 
 
 def test_usage_error_exit_2():

@@ -1,8 +1,17 @@
 """Crossings, their poset, and the crossing-formula operators."""
 
+import os
+import random
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
 from hypothesis import given
 from hypothesis import strategies as st
 
+import crystaltiles
+from crystaltiles import verify
 from crystaltiles.crossings import (
     crossing_form,
     crossing_rvec,
@@ -16,7 +25,8 @@ from crystaltiles.crossings import (
     reineke_vectors,
 )
 from crystaltiles.lusztig import LusztigDatum, oracle_op, oracle_star_op
-from crystaltiles.tiling import build_tiling
+from crystaltiles.tiling import build_tiling, closure_tiles
+from crystaltiles.verify import lattice_failures
 from crystaltiles.words import convex_order, enumerate_reduced_words, root_span
 
 WORDS4 = enumerate_reduced_words(4)
@@ -86,6 +96,15 @@ def test_crossing_form_vs_eps():
     tiling = build_tiling((2, 1, 2))
     forms = [crossing_form(c, x) for c in enumerate_crossings(tiling, 1)]
     assert max(forms) == crystal_op("eps", 1, x)
+    rng = random.Random("crossing-form")
+    for word in WORDS4:
+        tiling = build_tiling(word)
+        for _ in range(3):
+            x = LusztigDatum(word, tuple(rng.randint(0, 3) for _ in word))
+            for a in range(1, 4):
+                for dual, op in ((False, crystal_op), (True, dual_crystal_op)):
+                    forms = [crossing_form(c, x) for c in enumerate_crossings(tiling, a, dual)]
+                    assert max(forms) == op("eps", a, x), (word, x, a, dual)
 
 
 @given(st.sampled_from(WORDS4), st.data())
@@ -121,7 +140,112 @@ def test_hw_membership_origin():
     assert not hw_membership(y, (1, 1))
 
 
+def _membership_by_eps_star(x, lam):
+    return all(dual_crystal_op("eps", a, x) <= lam[a - 1] for a in range(1, x.n))
+
+
+def test_hw_membership_matches_eps_star():
+    """The dual tables against the starred operators, which read the primal
+    tables of the star word."""
+    for word in enumerate_reduced_words(3):
+        for vals in product(range(3), repeat=3):
+            x = LusztigDatum(word, vals)
+            for lam in product(range(3), repeat=2):
+                assert hw_membership(x, lam) == _membership_by_eps_star(x, lam), (x, lam)
+    rng = random.Random("hw-membership")
+    for _ in range(60):
+        x = LusztigDatum(rng.choice(WORDS4), tuple(rng.randint(0, 2) for _ in range(6)))
+        for lam in product(range(3), repeat=3):
+            assert hw_membership(x, lam) == _membership_by_eps_star(x, lam), (x, lam)
+
+
 def test_hw_crystal_sizes_n3():
     word = (1, 2, 1)
     for lam, size in [((1, 0), 3), ((0, 1), 3), ((1, 1), 8), ((2, 0), 6), ((2, 1), 15)]:
         assert len(generate_hw_crystal(lam, word)) == size
+
+
+def test_self_checks_raise_under_python_O():
+    """With no Reineke crossing, eps_a has nowhere to be attained: the check
+    must raise even when python -O strips assert statements."""
+    code = (
+        "import sys\n"
+        "from crystaltiles import crossings\n"
+        "from crystaltiles.lusztig import LusztigDatum\n"
+        "crossings.is_reineke = lambda c: False\n"
+        "try:\n"
+        "    crossings.crystal_op('eps', 1, LusztigDatum((2, 1, 2), (3, 1, 2)))\n"
+        "except AssertionError as exc:\n"
+        "    sys.exit(0 if sys.flags.optimize and 'Reineke' in str(exc) else 1)\n"
+        "sys.exit(1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(crystaltiles.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _reference_lattice_failures(tiling, a, dual, dropped=None):
+    """The lattice check as it stood before crossings became table indices:
+    a dict over pairs of Crossing objects, here with the closure order read
+    straight from tiling.closure_tiles.  `dropped` names one pair to take
+    out of the order."""
+    cs = enumerate_crossings(tiling, a, dual)
+    closure = {c: closure_tiles(tiling, c.tiles, a, dual) for c in cs}
+
+    def below(c, d):
+        return closure[c] <= closure[d] and closure[c] - set(c.tiles) <= closure[d] - set(d.tiles)
+
+    leq = {(c, d): below(c, d) for c in cs for d in cs}
+    assert all(poset_leq(c, d) == v for (c, d), v in leq.items())
+    if dropped is not None:
+        leq[dropped] = False
+    geq = {(c, d): v for (d, c), v in leq.items()}
+    fails = []
+    for i, c in enumerate(cs):
+        for d in cs[i:]:
+            for le in (leq, geq):
+                cand = [e for e in cs if le[c, e] and le[d, e]]
+                best = [e for e in cand if all(le[e, f] for f in cand)]
+                if len(best) != 1:
+                    fails.append(("missing bound", a, dual))
+                elif is_reineke(c) and is_reineke(d) and not is_reineke(best[0]):
+                    fails.append(("not a sublattice", a, dual))
+    return fails
+
+
+def test_lattice_failures_match_the_pair_dict_reference():
+    words = [w for n in (2, 3, 4) for w in enumerate_reduced_words(n)]
+    words += random.Random("lattice-reference").sample(enumerate_reduced_words(5), 30)
+    for word in words:
+        tiling = build_tiling(word)
+        for a in range(1, tiling.n):
+            for dual in (False, True):
+                want = _reference_lattice_failures(tiling, a, dual)
+                assert lattice_failures(tiling, a, dual) == want, (word, a, dual)
+
+
+def test_lattice_failures_catch_a_dropped_relation(monkeypatch, running_tiling):
+    """Drop each relation i < j of each table in turn: the failures match the
+    reference on the same broken order, and dropping bottom < j, which takes
+    the meet of bottom and j away, reports a missing bound."""
+    for a in range(1, 5):
+        for dual in (False, True):
+            real = verify._table(running_tiling, a, dual)
+            assert lattice_failures(running_tiling, a, dual) == []
+            bottom = next(k for k, row in enumerate(real) if len(row.up) == len(real))
+            for i, row in enumerate(real):
+                for j in row.up - {i}:
+                    rows = list(real)
+                    rows[i] = row._replace(up=row.up - {j})
+                    monkeypatch.setattr(verify, "_table", lambda *args, rows=rows: tuple(rows))
+                    got = lattice_failures(running_tiling, a, dual)
+                    dropped = (real[i].crossing, real[j].crossing)
+                    assert got == _reference_lattice_failures(running_tiling, a, dual, dropped)
+                    if i == bottom:
+                        assert ("missing bound", a, dual) in got
+            monkeypatch.undo()
