@@ -245,9 +245,10 @@ def bz_from_lusztig(x: LusztigDatum) -> BZDatum:
         ]
         for subset, val in zip(unknowns, sol):
             if subset in values:
-                assert values[subset] == val, (
-                    f"inconsistent value at {subset}: {values[subset]} vs {val}"
-                )
+                if values[subset] != val:
+                    raise AssertionError(
+                        f"inconsistent value at {subset}: {values[subset]} vs {val}"
+                    )
             else:
                 values[subset] = val
 

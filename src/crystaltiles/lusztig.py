@@ -2,10 +2,11 @@
 
 A Lusztig datum assigns a natural number to every tile of a tiling (every
 positive root), stored in the anchor word's root order.  Moving the anchor
-from i to j runs a flip rule along the braid moves of a move path, compiled
-once into positions in i's root order; commutation moves only permute
-coordinates.  At a hexagon s < t < u the rules send (a, b, c) = (x_st, x_su,
-x_tu), over a semiring (add, mul, div), to
+from i to j runs a flip rule along the hexagon flips of words.braid_steps,
+compiled once into positions in i's root order; commutation moves only
+permute coordinates, and the result does not depend on the flip path.  At a
+hexagon s < t < u the rules send (a, b, c) = (x_st, x_su, x_tu), over a
+semiring (add, mul, div), to
 
     additive:        (a*b/(a+c), a+c, b*c/(a+c)),
     multiplicative:  ((a*c+b)/c, a*c, b*c/(a*c+b)) in left form, its inverse

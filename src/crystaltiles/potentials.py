@@ -5,13 +5,13 @@ root pair) or vertex coordinates (one per vertex off the left boundary).  The
 crossing polynomials r_a sum the dual Reineke vectors of a word; under a flip
 they transform by the subtraction-free multiplicative lift, while their
 word-coordinate companions transform by the additive one.  Both lifts are the
-lusztig module's flip rules over the rationals, run along its compiled move
-paths; the transition map for Lusztig data is the additive rule over
-min-plus.  The dual Chamber Ansatz and the Neighbour Ansatz connect the two
-tori; pushing r_a through them produces a potential with exponents in
-{0, -1} whose tropical cone is a unimodular image of the string cone, and
-evaluating through chamber minors recovers ratios of minors of a
-unitriangular matrix.  All identity checks are exact:
+lusztig module's flip rules over the rationals, run along its compiled flip
+paths (words.braid_steps, built directly); the transition map for Lusztig
+data is the additive rule over min-plus.  The dual Chamber Ansatz and the
+Neighbour Ansatz connect the two tori; pushing r_a through them produces a
+potential with exponents in {0, -1} whose tropical cone is a unimodular
+image of the string cone, and evaluating through chamber minors recovers
+ratios of minors of a unitriangular matrix.  All identity checks are exact:
 Fraction arithmetic at rational points, never tolerances.
 """
 
@@ -621,18 +621,19 @@ def cone_correspondence_check(word, box=2, points=20, seed=0, cap=200000) -> dic
 
 
 def eval_cluster_mutation(kind, i, j, point) -> dict:
-    """Transport a positive seed-torus point along the flips of move_path(i, j).
+    """Transport a positive seed-torus point along the flips of braid_steps(i, j).
 
-    The flips come from braid_steps(i, j), which gives the interior vertex of
-    each hexagon before and after its flip.  kind "A" mutates vertex values
-    by the exchange rule: the inner vertex of each flipped hexagon is
-    replaced by (product over in-arrows + product over out-arrows) divided
-    by the old value, arrows counted in the quiver before the flip.  kind
-    "X" inverts the inner value and rescales every neighbour v by
-    (1 + x_k^{-sign e})^{-e} with e the signed arrow count from v to the
-    inner vertex.  Every step asserts its commuting square: the neighbour map
-    intertwines "A" steps with the multiplicative lift, and the dual chamber
-    map intertwines the lift with "X" steps.
+    braid_steps gives the interior vertex of each hexagon before and after
+    its flip; the result does not depend on which flip path is taken.  kind
+    "A" mutates vertex values by the exchange rule: the inner vertex of each
+    flipped hexagon is replaced by (product over in-arrows + product over
+    out-arrows) divided by the old value, arrows counted in the quiver
+    before the flip.  kind "X" inverts the inner value and rescales every
+    neighbour v by (1 + x_k^{-sign e})^{-e} with e the signed arrow count
+    from v to the inner vertex.  Every step checks its commuting square, and
+    raises AssertionError (also under python -O) if it fails: the neighbour
+    map intertwines "A" steps with the multiplicative lift, and the dual
+    chamber map intertwines the lift with "X" steps.
     """
     i, j = tuple(i), tuple(j)
     if kind not in ("A", "X"):
@@ -655,7 +656,8 @@ def eval_cluster_mutation(kind, i, j, point) -> dict:
             rhs = neighbour_ansatz(w).apply(vals)
             lifted = _multiplicative_flip(_RATIONALS, *map(rhs.get, pairs), left_form)
             rhs.update(zip(pairs, lifted))
-            assert lhs == rhs, "vertex exchange must match the lift through neighbours"
+            if lhs != rhs:
+                raise AssertionError("vertex exchange must match the lift through neighbours")
         else:
             new = {}
             for v in q.vertices:
@@ -672,8 +674,7 @@ def eval_cluster_mutation(kind, i, j, point) -> dict:
             x = _unimodular_inverse(chamber_ansatz_dual(w)).apply(vals)
             lifted = _multiplicative_flip(_RATIONALS, *map(x.get, pairs), left_form)
             x.update(zip(pairs, lifted))
-            assert (
-                chamber_ansatz_dual(w2).apply(x) == new
-            ), "coefficient mutation must match the lift through chambers"
+            if chamber_ansatz_dual(w2).apply(x) != new:
+                raise AssertionError("coefficient mutation must match the lift through chambers")
         vals = new
     return vals

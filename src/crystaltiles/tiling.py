@@ -25,6 +25,7 @@ from .words import (
     WordMove,
     apply_move,
     convex_order,
+    expose_hexagon,
     prefix_permutations,
     rank_of_word,
 )
@@ -98,11 +99,11 @@ class Tile:
     def right(self) -> Vertex:
         return _vertex(self.base + (self.pair[1],))
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[Vertex, Vertex, Vertex, Vertex]:
         return (self.lower, self.left, self.right, self.upper)
 
-    @property
+    @cached_property
     def edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
         """The four edges counter-clockwise: (lower,right), (right,upper),
         (upper,left), (left,lower)."""
@@ -397,34 +398,19 @@ def flip(tiling: Tiling, hexagon) -> tuple[Tiling, WordMove]:
     """Flip the tiling at a hexagon; returns the new tiling and the braid move.
 
     The move applies at a word generating the input tiling, reached from the
-    anchor by commutation moves alone: letters at distance >= 2 commute, so
-    within the stretch of the anchor from the hexagon's first tile to its
-    last, the tiles not above the first hexagon tile in the heap order move
-    in front of it, and the tiles not below the last one move behind it.
-    The three hexagon tiles are then consecutive.  The returned tiling is
+    anchor by commutation moves alone: words.expose_hexagon brings the three
+    hexagon tiles of the anchor together.  The returned tiling is
     anchored to the braided word, so applying the same move to its anchor
     recovers that word.  Flipping twice restores the tile set.
     """
     hexagon = _as_hexagon(tiling, hexagon)
     word = tiling.word
     order = convex_order(word)
-    first, mid, last = sorted(order.index(t.pair) for t in hexagon.tiles)
-    above, below = {first}, {last}
-    for k in range(first + 1, last):
-        if any(abs(word[k] - word[q]) <= 1 for q in above):
-            above.add(k)
-    for k in range(last - 1, first, -1):
-        if any(abs(word[k] - word[q]) <= 1 for q in below):
-            below.add(k)
-    inside = range(first + 1, last)
-    front = [k for k in inside if k not in above]
-    between = [k for k in inside if k in above and k in below]
-    back = [k for k in inside if k in above and k not in below]
-    if between != [mid]:
+    exposed = expose_hexagon(word, *sorted(order.index(t.pair) for t in hexagon.tiles))
+    if exposed is None:
         raise AssertionError(f"hexagon tiles of {word} do not close up")
-    window = tuple(word[k] for k in front + [first, mid, last] + back)
-    moved = word[:first] + window + word[last + 1 :]
-    move = WordMove("braid", first + len(front) + 1)
+    moved, p = exposed
+    move = WordMove("braid", p + 1)
     new_tiling = build_tiling(apply_move(moved, move))
     expected = (set(tiling.tiles) - set(hexagon.tiles)) | set(hexagon.flipped_tiles())
     if set(new_tiling.tiles) != expected:

@@ -11,9 +11,14 @@ Any two reduced words for w0 are connected by commutation moves
 (swap adjacent letters a, b with |a-b| >= 2) and braid moves
 (replace a, b, a by b, a, b for |a-b| = 1).
 
-This module owns the moves: move_path finds a shortest move sequence
-between two words, and braid_steps compiles its braid moves into the
-hexagon flips that every transition map, lift and mutation walks along.
+This module owns the moves.  braid_steps builds the hexagon flips that
+every transition map, lift and mutation walks along directly: one flip per
+triple s < t < u whose roots (s,t), (t,u) come in opposite orders in the
+two words, at most C(n, 3) flips, with no search over the words of the
+rank.  expose_hexagon brings a hexagon's three letters together by
+commutation moves, for braid_steps and tiling.flip alike.  move_path finds
+a shortest move sequence by breadth-first search over every reduced word,
+which is feasible for n <= 5 only.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ __all__ = [
     "applicable_moves",
     "apply_move",
     "move_path",
+    "expose_hexagon",
     "braid_steps",
     "prefix_permutations",
     "convex_order",
@@ -309,38 +315,115 @@ def move_path(i: Word, j: Word) -> tuple[WordMove, ...]:
     return tuple(reversed(path))
 
 
+def expose_hexagon(word: Word, first: int, mid: int, last: int) -> tuple[Word, int] | None:
+    """Bring the letters at 0-based positions first < mid < last together.
+
+    Letters at distance >= 2 commute, so within the stretch word[first..last]
+    the letters not above word[first] in the heap order move in front of it
+    and the letters not below word[last] move behind it.  This is possible
+    iff mid is the only heap element strictly between first and last; then
+    the returned pair is the moved word, reached from word by commutation
+    moves alone, and the 0-based position of the three now-consecutive
+    letters.  Otherwise the result is None.
+
+    >>> expose_hexagon((1, 2, 3, 1), 0, 1, 3)
+    ((1, 2, 1, 3), 0)
+    >>> expose_hexagon((1, 2, 3, 2, 1), 0, 1, 4) is None
+    True
+    """
+    above, below = {first}, {last}
+    reach = {word[first] - 1, word[first], word[first] + 1}
+    for k in range(first + 1, last):
+        if word[k] in reach:
+            above.add(k)
+            reach.update((word[k] - 1, word[k] + 1))
+    reach = {word[last] - 1, word[last], word[last] + 1}
+    for k in range(last - 1, first, -1):
+        if word[k] in reach:
+            below.add(k)
+            reach.update((word[k] - 1, word[k] + 1))
+    inside = range(first + 1, last)
+    if [k for k in inside if k in above and k in below] != [mid]:
+        return None
+    front = [k for k in inside if k not in above]
+    back = [k for k in inside if k in above and k not in below]
+    window = tuple(word[k] for k in front + [first, mid, last] + back)
+    return word[:first] + window + word[last + 1 :], first + len(front)
+
+
+def _triple_orientations(order, n: int) -> dict[tuple[int, int, int], bool]:
+    """For each triple s < t < u: does the root (s,t) precede (t,u) in order?
+
+    These orientations (the inversion set in the higher Bruhat order B(n,2))
+    determine the commutation class of a reduced word, that is its tiling.
+    """
+    index = {root: k for k, root in enumerate(order)}
+    return {
+        (s, t, u): index[(s, t)] < index[(t, u)]
+        for s in range(1, n + 1)
+        for t in range(s + 1, n + 1)
+        for u in range(t + 1, n + 1)
+    }
+
+
 def braid_steps(i: Word, j: Word) -> tuple:
-    """The braid moves of move_path(i, j) as hexagon flips.
+    """A shortest sequence of hexagon flips from the tiling of i to that of j.
 
     Each entry is (pairs, left_form, inner, ninner, before, after): the pair
     triple ([s,t], [s,u], [t,u]) of the hexagon with s < t < u, whether the
     hexagon has left form before the flip, its interior vertex before and
-    after the flip, and the words before and after the move.  Commutation
-    moves change no tile and are skipped.
+    after the flip, and the words before and after the braid move.  The
+    first before is commutation-equivalent to i, each before to the previous
+    after, and the last after to j; commutation moves change no tile.
 
-    Everything is read off the prefix permutation w in front of the braid
-    (a, b, a): the support is w(c), w(c+1), w(c+2) with c = min(a, b),
-    increasing because the word is reduced; the hexagon has left form iff
-    a < b; the interior vertex is w s_a([a]) before and w s_b([b]) after.
+    The path is built directly.  A flip at (s, t, u) reverses the order of
+    the roots (s,t) and (t,u) and no other triple's, so the triples whose
+    orientation differs between i and j (the set D) must each flip once.
+    While D is not empty, the first triple of D whose three roots form a
+    hexagon of the current word's heap is brought together by
+    expose_hexagon (the helper tiling.flip also uses) and braided.  The path
+    has exactly |D| <= C(n, 3) flips; AssertionError if no triple of D forms
+    a hexagon.
+
+    With w the prefix permutation in front of the braid (a, b, a), the
+    hexagon has left form iff a < b, and its interior vertex is w s_a([a])
+    before and w s_b([b]) after.
 
     >>> braid_steps((2, 1, 2), (1, 2, 1))
     ((((1, 2), (1, 3), (2, 3)), False, (1, 3), (2,), (2, 1, 2), (1, 2, 1)),)
     """
-    i = tuple(i)
+    i, j = tuple(i), tuple(j)
     n = rank_of_word(i)
+    if rank_of_word(j) != n:
+        raise ValueError("words have different ranks")
+    target = _triple_orientations(convex_order(j), n)
+    todo = [
+        triple
+        for triple, ahead in _triple_orientations(convex_order(i), n).items()
+        if ahead != target[triple]
+    ]
     steps = []
     cur = i
-    for mv in move_path(i, j):
-        nxt = apply_move(cur, mv)
-        if mv.kind == "braid":
-            p = mv.position - 1
-            a, b = cur[p], cur[p + 1]
-            w = permutation_of_word(cur[:p], n)
-            s, t, u = w[min(a, b) - 1 : min(a, b) + 2]
-            inner = tuple(sorted(_right_multiply(w, a)[:a]))
-            ninner = tuple(sorted(_right_multiply(w, b)[:b]))
-            steps.append((((s, t), (s, u), (t, u)), a < b, inner, ninner, cur, nxt))
-        cur = nxt
+    while todo:
+        index = {root: k for k, root in enumerate(_roots(cur, n))}
+        for triple in todo:
+            s, t, u = triple
+            exposed = expose_hexagon(
+                cur, *sorted((index[(s, t)], index[(s, u)], index[(t, u)]))
+            )
+            if exposed is not None:
+                break
+        else:
+            raise AssertionError(f"no hexagon of {cur} flips a triple toward {j}")
+        todo.remove(triple)
+        before, p = exposed
+        after = apply_move(before, WordMove("braid", p + 1))
+        a, b = before[p], before[p + 1]
+        w = permutation_of_word(before[:p], n)
+        inner = tuple(sorted(_right_multiply(w, a)[:a]))
+        ninner = tuple(sorted(_right_multiply(w, b)[:b]))
+        steps.append((((s, t), (s, u), (t, u)), a < b, inner, ninner, before, after))
+        cur = after
     return tuple(steps)
 
 
@@ -368,15 +451,23 @@ def convex_order(word: Word) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=1024)
 def _convex_order(word: Word) -> tuple[tuple[int, int], ...]:
-    n = rank_of_word(word)
-    prefixes = prefix_permutations(word, n)
-    roots = []
-    for k, a in enumerate(word):
-        w = prefixes[k]
-        s, t = w[a - 1], w[a]
-        roots.append((s, t) if s < t else (t, s))
+    roots = _roots(word, rank_of_word(word))
     if len(set(roots)) != len(word):
         raise ValueError(f"{word} is not a reduced word for w0")
+    return roots
+
+
+def _roots(word: Word, n: int) -> tuple[tuple[int, int], ...]:
+    """The roots of word in order, uncached, so that the intermediate words
+    of a flip path leave the convex_order cache alone."""
+    w = list(identity(n))
+    roots = []
+    for a in word:
+        if not 1 <= a <= n - 1:
+            raise ValueError(f"letter {a} outside [{n - 1}]")
+        s, t = w[a - 1], w[a]
+        roots.append((s, t) if s < t else (t, s))
+        w[a - 1], w[a] = t, s
     return tuple(roots)
 
 

@@ -1,9 +1,15 @@
 """Subset-indexed data: construction, validation, tropical transforms."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import crystaltiles
 from crystaltiles.bz import (
     BZDatum,
     bz_crystal_f,
@@ -98,3 +104,28 @@ def test_bz_word_independent():
     x = LusztigDatum((1, 2, 1), (2, 1, 0))
     y = transition(x, (2, 1, 2))
     assert bz_from_lusztig(x) == bz_from_lusztig(y)
+
+
+def test_cross_word_check_raises_under_python_O():
+    """Transported data off by one disagree with the anchor's solution, and
+    the check must raise even when python -O strips assert statements."""
+    code = (
+        "import sys\n"
+        "from crystaltiles import bz\n"
+        "from crystaltiles.lusztig import LusztigDatum\n"
+        "real = bz.transition\n"
+        "bz.transition = lambda x, j: LusztigDatum(j, [v + 1 for v in real(x, j).values])\n"
+        "try:\n"
+        "    bz.bz_from_lusztig(LusztigDatum((1, 2, 1, 3, 2, 1), (1, 0, 2, 0, 1, 3)))\n"
+        "except AssertionError as exc:\n"
+        "    sys.exit(0 if sys.flags.optimize and 'inconsistent' in str(exc) else 1)\n"
+        "sys.exit(1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(crystaltiles.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

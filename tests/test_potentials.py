@@ -1,10 +1,15 @@
 """Crossing polynomials, lifts, cluster structure, minor identities."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import crystaltiles
 from crystaltiles.potentials import (
     LaurentPolynomial,
     UnitriangularMatrix,
@@ -184,6 +189,33 @@ def test_cluster_mutation_example():
     assert all(v > 0 for v in outA.values())
     with pytest.raises(ValueError):
         eval_cluster_mutation("B", (1, 2, 1), (2, 1, 2), point)
+
+
+@pytest.mark.parametrize("kind,square", [("A", "neighbours"), ("X", "chambers")])
+def test_commuting_squares_raise_under_python_O(kind, square):
+    """A wrong multiplicative lift breaks each mutation's commuting square,
+    and the check must raise even when python -O strips assert statements."""
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from crystaltiles import potentials\n"
+        "real = potentials._multiplicative_flip\n"
+        "potentials._multiplicative_flip = lambda ring, a, b, c, left: real(ring, c, b, a, left)\n"
+        "point = {(2,): Fraction(3, 2), (3,): Fraction(2), (2, 3): Fraction(5)}\n"
+        "try:\n"
+        f"    potentials.eval_cluster_mutation({kind!r}, (1, 2, 1), (2, 1, 2), point)\n"
+        "except AssertionError as exc:\n"
+        f"    sys.exit(0 if sys.flags.optimize and {square!r} in str(exc) else 1)\n"
+        "sys.exit(1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(crystaltiles.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("word", enumerate_reduced_words(4)[:4])

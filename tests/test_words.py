@@ -8,7 +8,6 @@ from crystaltiles.crossings import crystal_op
 from crystaltiles.lusztig import LusztigDatum
 from crystaltiles.tiling import build_tiling
 from crystaltiles.words import (
-    _move_tree,
     applicable_moves,
     apply_move,
     braid_steps,
@@ -131,18 +130,22 @@ def test_braid_steps_match_tiles():
                 assert (before, after) == (cur, nxt)
                 checked += 1
     assert checked == 786
-    _move_tree.cache_clear()  # one move tree per source word, needed by no other test
 
 
 def test_braid_steps_follow_move_path():
-    """Between two flips only commutation moves act, which keep the tile set."""
+    """The flips run from i's tiling to j's: commutation moves alone join i to
+    the first flip, each flip to the next and the last flip to j, so the tile
+    set is unchanged between flips; there are no more flips than braid moves
+    in a shortest move path."""
     words = enumerate_reduced_words(4)
     i, j = words[0], words[-1]
     steps = braid_steps(i, j)
-    assert len(steps) == sum(mv.kind == "braid" for mv in move_path(i, j)) > 0
+    assert 0 < len(steps) <= sum(mv.kind == "braid" for mv in move_path(i, j))
     ends = [i] + [w for *_, before, after in steps for w in (before, after)] + [j]
     for u, v in zip(ends[::2], ends[1::2]):
         assert set(build_tiling(u).tiles) == set(build_tiling(v).tiles)
+    for *_, before, after in steps:
+        assert after in {apply_move(before, mv) for mv in applicable_moves(before)}
     assert braid_steps(i, i) == ()
 
 
