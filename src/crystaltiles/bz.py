@@ -163,7 +163,8 @@ def trop_chamber_ansatz(z: BZDatum, word) -> LusztigDatum:
             - z.value(base | {s})
             - z.value(base | {t})
         )
-        assert x >= 0, f"negative coordinate at {tile}: invalid BZ datum"
+        if x < 0:
+            raise AssertionError(f"negative coordinate at {tile}: invalid BZ datum")
         vals.append(x)
     return LusztigDatum(word, tuple(vals))
 
@@ -268,9 +269,9 @@ def bz_crystal_f(a: int, z: BZDatum) -> BZDatum:
 
     z_S drops by 1 exactly when a is in S, a+1 is not, and the difference
     z_S - z_{sigma_a S} meets its upper bound z_{[a]} - z_{sigma_a [a]};
-    the bound itself is asserted, and the equivalent max-form decrement
+    the bound itself is checked, and the equivalent max-form decrement
     max(0, z_S - z_{sigma_a S} + z_{sigma_a [a]} - z_{[a]} + 1) is computed
-    independently and asserted equal.
+    independently and checked equal, by raises that also run under python -O.
     """
     n = z.n
     if not 1 <= a <= n - 1:
@@ -282,11 +283,11 @@ def bz_crystal_f(a: int, z: BZDatum) -> BZDatum:
         val = z.value(subset)
         if a in subset and a + 1 not in subset:
             diff = val - z.value(_sigma_a(subset, a))
-            assert diff <= bound, (
-                f"upper bound violated at {subset}: {diff} > {bound}"
-            )
+            if diff > bound:
+                raise AssertionError(f"upper bound violated at {subset}: {diff} > {bound}")
             dec = 1 if diff >= bound else 0
-            assert dec == max(0, diff - bound + 1), "decrement forms disagree"
+            if dec != max(0, diff - bound + 1):
+                raise AssertionError("decrement forms disagree")
             val -= dec
         out[subset] = val
     return BZDatum(n, out)

@@ -28,14 +28,18 @@ enumeration order, with the crossing, its rvec, the datum positions its form
 adds and subtracts, its Reineke flag and its up-set in the closure order as
 row indices.  Every reader goes through it; closures live only while a table
 is built, and nothing is keyed by a Crossing.  The cache keeps 256 tables of
-about 3 KB each at n = 5: the 128 primal tables that the operators on 16
-words read (8 per word, with its star word), or the 12 tables the lattice
-suite reads per word.  All 6144 tables of n = 5 would take about 19 MB and
-spare only star-word rebuilds.
+about 3 KB each at n = 5: the 128 tables that the operators on 16 words read
+(4 primal and 4 dual per word; no star word has tables of its own), or the
+8 tables the lattice suite reads per word.  All 6144 tables of n = 5 would
+take about 19 MB.
 
-Dual operators reduce to primal ones on the reversed-complemented word
-(values transferred along equal tile pairs); the direct dual enumeration is
-kept and checked equal to the reduction.
+The starred operators are the same formula on the dual tables, with the
+same selection rule: f_a* adds rvec of the order-maximal maximizer and e_a*
+subtracts rvec of the order-minimal one.  Dual crossings ascend kappa_{n+a},
+which orders every pair of adjacent tiles opposite to kappa_a, so the dual
+search descends kappa_a and one sweep serves both sides.  The direct dual
+enumeration is checked equal to the primal one on the reversed-complemented
+word, whose tiles carry the same pairs.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .lusztig import LusztigDatum, star_datum
+from .lusztig import LusztigDatum
 from .tiling import Tile, Tiling, build_tiling, closure_tiles, kappa_partition, strip
 from .words import MAX_ENUM_RANK, convex_order, star_word
 
@@ -98,7 +102,13 @@ def _strip_sequence(path: tuple[Tile, ...], a: int) -> tuple[int, ...]:
 
 
 def _crossings(tiling: Tiling, a: int, dual: bool) -> tuple[Crossing, ...]:
-    """The crossing search: every kappa-ascending path between the strip ends."""
+    """The crossing search: every kappa-ascending path between the strip ends.
+
+    Primal crossings ascend kappa_a.  Dual crossings ascend kappa_{n+a}, and
+    on every pair of adjacent tiles kappa_{n+a} gives the opposite order to
+    kappa_a (the sweep from the complementary arc crosses each shared edge
+    the other way; tests/test_tiling.py checks it), so they descend kappa_a.
+    """
     n = tiling.n
     if n > MAX_ENUM_RANK:
         raise ValueError(
@@ -107,7 +117,8 @@ def _crossings(tiling: Tiling, a: int, dual: bool) -> tuple[Crossing, ...]:
         )
     if not 1 <= a <= n - 1:
         raise ValueError(f"a must lie in [n-1] = [{n - 1}]")
-    kappa = kappa_partition(tiling, n + a if dual else a)
+    kappa = kappa_partition(tiling, a)
+    sign = -1 if dual else 1
     strip_a, strip_b = strip(tiling, a), strip(tiling, a + 1)
     start = strip_a[-1] if dual else strip_a[0]
     end = strip_b[-1] if dual else strip_b[0]
@@ -121,7 +132,7 @@ def _crossings(tiling: Tiling, a: int, dual: bool) -> tuple[Crossing, ...]:
             paths.append(path)
             continue
         for nb in tiling.adjacency[cur]:
-            if kappa[nb] > kappa[cur]:
+            if sign * (kappa[nb] - kappa[cur]) > 0:
                 stack.append(path + (nb,))
     crossings = tuple(
         sorted(
@@ -261,7 +272,28 @@ def crystal_op(kind: str, a: int, x: LusztigDatum):
     >>> crystal_op("f", 1, LusztigDatum((2, 1, 2), (3, 1, 2))).values
     (2, 2, 2)
     """
-    rows = _table(build_tiling(x.word), a, False)
+    return _crossing_op(kind, a, x, False)
+
+
+def dual_crystal_op(kind: str, a: int, x: LusztigDatum):
+    """Starred crystal operator through the dual crossing formula.
+
+    The rule of crystal_op on the dual a-crossings of x's own tiling, which
+    the search finds descending kappa_a (see _crossings; tests/test_tiling.py
+    checks the opposite-order rule).  tests/test_crossings.py requires it to
+    equal the primal formula moved to the star word by star_datum, and the
+    transport oracle oracle_star_op.  kind may be given with or without a
+    trailing star.
+
+    >>> dual_crystal_op("f*", 2, LusztigDatum((1, 2, 1), (0, 0, 0))).values
+    (0, 0, 1)
+    """
+    return _crossing_op(kind.rstrip("*"), a, x, True)
+
+
+def _crossing_op(kind: str, a: int, x: LusztigDatum, dual: bool):
+    """The crossing formula on the (dual) a-crossings of x's tiling."""
+    rows = _table(build_tiling(x.word), a, dual)
     vals = x.values
     forms = [_form(row, vals) for row in rows]
     eps = max(forms)
@@ -288,20 +320,6 @@ def crystal_op(kind: str, a: int, x: LusztigDatum):
         raise AssertionError(f"{kind}_{a}: selected crossing {row.crossing} is not Reineke")
     sign = 1 if kind == "f" else -1
     return LusztigDatum(x.word, tuple(v + sign * r for v, r in zip(vals, row.rvec)))
-
-
-def dual_crystal_op(kind: str, a: int, x: LusztigDatum):
-    """Starred crystal operator through the dual crossing formula.
-
-    Implemented by the pair-preserving reduction to the primal formula on the
-    reversed-complemented word; kind may be given with or without a trailing
-    star.
-
-    >>> dual_crystal_op("f*", 2, LusztigDatum((1, 2, 1), (0, 0, 0))).values
-    (0, 0, 1)
-    """
-    res = crystal_op(kind.rstrip("*"), a, star_datum(x))
-    return star_datum(res) if isinstance(res, LusztigDatum) else res
 
 
 def reineke_vectors(tiling: Tiling, a: int, dual: bool = False) -> frozenset[tuple[int, ...]]:

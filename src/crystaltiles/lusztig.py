@@ -206,19 +206,15 @@ def star_datum(x: LusztigDatum) -> LusztigDatum:
     """The Kashiwara involution: transfer values by pair to the star word.
 
     Involutive together with transition: star_datum(star_datum(x)) comes back
-    to x after re-anchoring.
+    to x after re-anchoring.  The crossing formula does not go through it:
+    the starred operators read the dual tables of x's own tiling, whose
+    crossings descend kappa_a (crossings._crossings; the opposite-order rule
+    is checked in tests/test_tiling.py), and tests/test_crossings.py checks
+    them against the primal formula moved here and back.
     """
-    j, order = _star_order(x.word)
-    return LusztigDatum(j, tuple(x.values[k] for k in order))
-
-
-@lru_cache(maxsize=1024)
-def _star_order(word: tuple[int, ...]) -> tuple:
-    """The star word of word, and the position in word's root order of each
-    root of the star word, in its own root order."""
-    j = star_word(word)
-    index = {root: k for k, root in enumerate(convex_order(word))}
-    return j, tuple(index[root] for root in convex_order(j))
+    j = star_word(x.word)
+    values = x.as_dict()
+    return LusztigDatum(j, tuple(values[root] for root in convex_order(j)))
 
 
 def weight(x: LusztigDatum) -> tuple[int, ...]:

@@ -245,8 +245,16 @@ def kappa_partition(tiling: Tiling, s: int) -> dict[Tile, int]:
     return dict(_kappa_levels(tiling, s))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _kappa_levels(tiling: Tiling, s: int) -> tuple[tuple[Tile, int], ...]:
+    """The levels of kappa_s, tile by tile in sweep order.
+
+    Bounded like crossings._table: a word's crossing tables sweep s = 1..n-1
+    on its tiling, and the dual check sweeps as many on the star word's
+    (dual crossings descend kappa_a, so s > n is never swept for them).  At
+    n = 5 that is 8 entries per word: 128 for 16 warm words, 8 at a time
+    for the lattice suite.
+    """
     n = tiling.n
     if not 1 <= s <= 2 * n:
         raise ValueError(f"s must lie in [2n] = [{2 * n}]")
@@ -269,7 +277,8 @@ def _kappa_levels(tiling: Tiling, s: int) -> tuple[tuple[Tile, int], ...]:
         if not found:
             break
         seen = [tile for _, tile in found]
-        assert len(set(seen)) == len(seen), "tile met the border at two corners"
+        if len(set(seen)) != len(seen):
+            raise AssertionError(f"tile met the border at two corners at s={s} for {tiling.word}")
         for p, tile in found:
             levels[tile] = level
             fourth = set(border[p - 1]) ^ set(border[p]) ^ set(border[p + 1])

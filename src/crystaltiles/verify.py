@@ -52,7 +52,8 @@ def weyl_dimension(lam) -> int:
         for b in range(a + 1, n + 1):
             num *= (b - a) + sum(lam[a - 1 : b - 1])
             den *= b - a
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"Weyl product {num}/{den} is not an integer")
     return num // den
 
 

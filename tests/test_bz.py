@@ -129,3 +129,32 @@ def test_cross_word_check_raises_under_python_O():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_invalid_bz_data_raise_under_python_O():
+    """A datum breaking the tile inequality or the f_1 bound is caught by
+    trop_chamber_ansatz and bz_crystal_f even when python -O strips assert
+    statements."""
+    code = (
+        "import sys\n"
+        "from crystaltiles.bz import BZDatum, bz_crystal_f, trop_chamber_ansatz\n"
+        "def raises(call, words):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except AssertionError as exc:\n"
+        "        return words in str(exc)\n"
+        "    return False\n"
+        "tile = BZDatum(3, {(1,): 1, (2,): 0, (3,): 0, (1, 2): 0, (1, 3): 0, (2, 3): 0})\n"
+        "bound = BZDatum(3, {(1,): 0, (2,): 0, (3,): 0, (1, 2): 0, (1, 3): 5, (2, 3): 0})\n"
+        "ok = raises(lambda: trop_chamber_ansatz(tile, (1, 2, 1)), 'negative coordinate')\n"
+        "ok = ok and raises(lambda: bz_crystal_f(1, bound), 'upper bound violated')\n"
+        "sys.exit(0 if sys.flags.optimize and ok else 1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(crystaltiles.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

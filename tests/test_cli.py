@@ -179,6 +179,8 @@ def run_in_mode(mode, capsys, argv):
 
 
 VERIFY_N4 = {
+    "crossing": '{"cases": 4320, "counterexamples": 0, "n": 4, "ok": true, "seed": 0,'
+    ' "suite": "crossing", "witnesses": []}',
     "duality": '{"cases": 4656, "counterexamples": 0, "n": 4, "ok": true, "seed": 0,'
     ' "suite": "duality", "witnesses": []}',
     "lattice": '{"cases": 104, "counterexamples": 0, "n": 4, "ok": true, "seed": 0,'
@@ -190,8 +192,9 @@ VERIFY_N4 = {
 @pytest.mark.parametrize("suite", sorted(VERIFY_N4))
 def test_verify_n4_golden(suite, mode, capsys):
     """Reports printed before string tails were shared and cone points were
-    found by a pruned walk (duality), and before crossings became table
-    indices (lattice)."""
+    found by a pruned walk (duality), before crossings became table indices
+    (lattice), and before the starred operators read the dual tables
+    directly (crossing)."""
     code, out = run_in_mode(mode, capsys, ["verify", "--suite", suite, "--n", "4"])
     assert code == 0
     assert out.splitlines() == [VERIFY_N4[suite]]

@@ -24,10 +24,11 @@ from crystaltiles.crossings import (
     poset_leq,
     reineke_vectors,
 )
-from crystaltiles.lusztig import LusztigDatum, oracle_op, oracle_star_op
+from crystaltiles.lusztig import LusztigDatum, oracle_op, oracle_star_op, star_datum
 from crystaltiles.tiling import build_tiling, closure_tiles
 from crystaltiles.verify import lattice_failures
 from crystaltiles.words import convex_order, enumerate_reduced_words, root_span
+from test_paths import weak_order_word
 
 WORDS4 = enumerate_reduced_words(4)
 
@@ -140,13 +141,41 @@ def test_hw_membership_origin():
     assert not hw_membership(y, (1, 1))
 
 
+def _star_reference(kind, a, x):
+    """The starred operator by the star reduction: the primal formula on the
+    star word's tables, with x moved there and a resulting datum moved back
+    along equal tile pairs."""
+    res = crystal_op(kind, a, star_datum(x))
+    return star_datum(res) if isinstance(res, LusztigDatum) else res
+
+
+def test_dual_ops_match_star_reference():
+    """The dual tables of x's own tiling against the star reduction, on every
+    datum with entries <= 2 at n <= 4 and on sampled data at n = 5..7."""
+    data = [
+        LusztigDatum(word, vals)
+        for n in (2, 3, 4)
+        for word in enumerate_reduced_words(n)
+        for vals in product(range(3), repeat=len(word))
+    ]
+    rng = random.Random("star-reference")
+    for n, count in ((5, 40), (6, 12), (7, 6)):
+        for _ in range(count):
+            word = weak_order_word(n, rng)
+            data.append(LusztigDatum(word, tuple(rng.randint(0, 3) for _ in word)))
+    for x in data:
+        for a in range(1, x.n):
+            for kind in ("f", "e", "eps"):
+                assert dual_crystal_op(kind, a, x) == _star_reference(kind, a, x), (kind, a, x)
+
+
 def _membership_by_eps_star(x, lam):
-    return all(dual_crystal_op("eps", a, x) <= lam[a - 1] for a in range(1, x.n))
+    return all(_star_reference("eps", a, x) <= lam[a - 1] for a in range(1, x.n))
 
 
 def test_hw_membership_matches_eps_star():
-    """The dual tables against the starred operators, which read the primal
-    tables of the star word."""
+    """The dual tables, which hw_membership reads, against eps* by the star
+    reduction, which reads the primal tables of the star word."""
     for word in enumerate_reduced_words(3):
         for vals in product(range(3), repeat=3):
             x = LusztigDatum(word, vals)

@@ -1,6 +1,7 @@
 """Tilings: tiles, boundary, partitions, strips, hexagon flips."""
 
 import math
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from crystaltiles.tiling import (
     word_from_tiles,
 )
 from crystaltiles.words import apply_move, enumerate_reduced_words
+from test_paths import weak_order_word
 
 
 def test_running_tiles(running_tiling):
@@ -69,6 +71,24 @@ def test_kappa_covers_all_tiles(running_tiling):
         kp = kappa_partition(running_tiling, s)
         assert len(kp) == len(running_tiling.tiles)
         assert min(kp.values()) == 1
+
+
+def test_kappa_complementary_sweeps_order_adjacent_tiles_oppositely():
+    """kappa_{n+s} orders every pair of adjacent tiles opposite to kappa_s.
+    The dual crossing search relies on this to descend kappa_a instead of
+    ascending kappa_{n+a}; it runs on every tiling at n <= 5 and on sampled
+    tilings at n = 6..8."""
+    words = [w for n in (2, 3, 4, 5) for w in enumerate_reduced_words(n)]
+    rng = random.Random("kappa-opposite")
+    words += [weak_order_word(n, rng) for n in (6, 7, 8) for _ in range(10)]
+    for word in words:
+        tiling = build_tiling(word)
+        n = tiling.n
+        for s in range(1, n + 1):
+            low, high = kappa_partition(tiling, s), kappa_partition(tiling, n + s)
+            for tile in tiling.tiles:
+                for nb in tiling.adjacency[tile]:
+                    assert (low[nb] - low[tile]) * (high[nb] - high[tile]) < 0, (word, s)
 
 
 def test_strip_running_example(running_tiling):
