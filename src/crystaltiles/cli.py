@@ -237,8 +237,15 @@ def _cmd_render(args) -> int:
     if args.labels:
         decorations["vertex_labels"] = True
     svg = render_svg(tiling, decorations)
-    with open(args.svg_out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.svg_out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        print(
+            f"crystaltiles render: error: cannot write {args.svg_out}: {exc.strerror}",
+            file=sys.stderr,
+        )
+        return 2
     print(args.svg_out)
     return 0
 

@@ -290,10 +290,10 @@ def reineke_poly(word, a, dual: bool = True) -> LaurentPolynomial:
             if letter == a:
                 terms[tuple(int(m == k) for m in range(1, len(word) + 1))] = 1
         poly = LaurentPolynomial(coords, terms)
-    assert all(c == 1 for _, c in poly.terms), "crossing polynomials have unit coefficients"
-    assert all(
-        e in (-1, 0, 1) for exp, _ in poly.terms for e in exp
-    ), "crossing polynomial exponents stay within -1..1"
+    if not all(c == 1 for _, c in poly.terms):
+        raise AssertionError("crossing polynomials have unit coefficients")
+    if not all(e in (-1, 0, 1) for exp, _ in poly.terms for e in exp):
+        raise AssertionError("crossing polynomial exponents stay within -1..1")
     return poly
 
 
@@ -481,7 +481,8 @@ def neighbour_ansatz(word) -> MonomialMap:
         row = [0] * len(verts)
         if tile.left in vidx:
             row[vidx[tile.left]] += 1
-        assert tile.right in vidx, "right corners never sit on the left boundary"
+        if tile.right not in vidx:
+            raise AssertionError("right corners never sit on the left boundary")
         row[vidx[tile.right]] -= 1
         rows.append(tuple(row))
     return MonomialMap(verts, pairs, tuple(rows))
@@ -498,8 +499,8 @@ def ghkk_restriction(word, a) -> LaurentPolynomial:
 
     This is r_a rewritten through the inverse of the dual chamber matrix;
     the result has unit coefficients, exponents in {0, -1}, and no constant
-    term (all asserted).  For words optimized for a it collapses to the
-    single monomial 1/x_{(a+1, ..., n)}.
+    term (all checked, also under python -O).  For words optimized for a it
+    collapses to the single monomial 1/x_{(a+1, ..., n)}.
 
     >>> ghkk_restriction((2, 1, 2), 1)
     x[2,3]^-1
@@ -509,14 +510,18 @@ def ghkk_restriction(word, a) -> LaurentPolynomial:
     word = tuple(word)
     mm = chamber_ansatz_dual(word)
     poly = _unimodular_inverse(mm).pullback(reineke_poly(word, a))
-    assert all(c == 1 for _, c in poly.terms), "potential coefficients are 1"
-    assert all(e in (0, -1) for exp, _ in poly.terms for e in exp), "potential exponents are 0 or -1"
-    assert all(any(exp) for exp, _ in poly.terms), "potentials have no constant term"
+    if not all(c == 1 for _, c in poly.terms):
+        raise AssertionError("potential coefficients are 1")
+    if not all(e in (0, -1) for exp, _ in poly.terms for e in exp):
+        raise AssertionError("potential exponents are 0 or -1")
+    if not all(any(exp) for exp, _ in poly.terms):
+        raise AssertionError("potentials have no constant term")
     if is_optimized(word, a):
         n = rank_of_word(word)
         suffix = tuple(range(a + 1, n + 1))
         expected = tuple(-1 if v == suffix else 0 for v in mm.dst)
-        assert poly.terms == ((expected, 1),), "optimized words give a single monomial"
+        if poly.terms != ((expected, 1),):
+            raise AssertionError("optimized words give a single monomial")
     return poly
 
 

@@ -7,12 +7,11 @@ pi/2 + (n+1-2s)pi/(2n); edges join subsets differing by one element, which
 serves as the edge label.  The tile [s,t; S] has the four vertices
 S, S+{s}, S+{t}, S+{s,t}.
 
-This module builds tilings from words, recovers words from tile sets,
-computes the border-sweep partitions kappa_s, strips, the induced partial
-orders, hexagon flips, combs (closures of maximal crossings) and SVG
-pictures.  A tiling is pure set combinatorics: closures are read off the
-counter-clockwise order of tile edges, and the float coordinates v_S exist
-only inside render_svg.
+This module builds tilings from words and computes the border-sweep
+partitions kappa_s, strips, hexagon flips, closures of crossing paths, combs
+(closures of maximal crossings) and SVG pictures.  A tiling is pure set
+combinatorics: closures are read off the counter-clockwise order of tile
+edges, and the float coordinates v_S exist only inside render_svg.
 """
 
 from __future__ import annotations
@@ -35,16 +34,13 @@ __all__ = [
     "Tiling",
     "Hexagon",
     "build_tiling",
-    "word_from_tiles",
     "kappa_partition",
     "strip",
-    "s_leq",
     "hexagons",
     "flip",
     "maximal_crossing_path",
     "closure_tiles",
     "comb",
-    "find_comb_hexagon",
     "render_svg",
 ]
 
@@ -201,35 +197,6 @@ def build_tiling(word: tuple[int, ...]) -> Tiling:
     return Tiling(n, word, tuple(tiles))
 
 
-def word_from_tiles(n: int, tiles) -> tuple[int, ...]:
-    """Recover some generating word from a tile set by peeling at the border.
-
-    Starting from the left boundary, repeatedly finds a position p where an
-    unused tile fills the corner between border vertices p-1, p, p+1 and
-    advances across it, emitting the letter p.  Deterministic (smallest p
-    first).  ValueError if the tiles do not tile the 2n-gon.
-    """
-    remaining = {tile.pair: tile for tile in tiles}
-    if len(remaining) != n * (n - 1) // 2:
-        raise ValueError("wrong number of tiles")
-    border = [_vertex(range(1, a + 1)) for a in range(0, n + 1)]
-    word = []
-    while remaining:
-        for p in range(1, n):
-            lower, mid, upper = border[p - 1], border[p], border[p + 1]
-            pair = tuple(sorted(set(upper) - set(lower)))
-            tile = remaining.get(pair)
-            if tile is not None and tile.lower == lower and mid in (tile.left, tile.right):
-                other = tile.right if mid == tile.left else tile.left
-                border[p] = other
-                word.append(p)
-                del remaining[pair]
-                break
-        else:
-            raise ValueError("tile set does not tile the polygon")
-    return tuple(word)
-
-
 def kappa_partition(tiling: Tiling, s: int) -> dict[Tile, int]:
     """Level map kappa_s of the border sweep starting opposite the label-s side.
 
@@ -250,10 +217,10 @@ def _kappa_levels(tiling: Tiling, s: int) -> tuple[tuple[Tile, int], ...]:
     """The levels of kappa_s, tile by tile in sweep order.
 
     Bounded like crossings._table: a word's crossing tables sweep s = 1..n-1
-    on its tiling, and the dual check sweeps as many on the star word's
-    (dual crossings descend kappa_a, so s > n is never swept for them).  At
-    n = 5 that is 8 entries per word: 128 for 16 warm words, 8 at a time
-    for the lattice suite.
+    on its own tiling, and no table sweeps another word's (dual crossings
+    descend kappa_a, so s > n is never swept for them).  At n = 5 that is 4
+    entries per word: 64 for crosscheck's 16 words, and 8 at a time for the
+    lattice suite, whose mirror check also sweeps the star word's tiling.
     """
     n = tiling.n
     if not 1 <= s <= 2 * n:
@@ -312,31 +279,6 @@ def strip(tiling: Tiling, s: int) -> tuple[Tile, ...]:
     if len(out) != n - 1:
         raise AssertionError(f"strip {s} has {len(out)} tiles")
     return tuple(out)
-
-
-def s_leq(tiling: Tiling, s: int, t1: Tile, t2: Tile) -> bool:
-    """The partial order <=_s: does an s-ascending neighbour sequence run t1 -> t2?
-
-    Ascending means the kappa_s level strictly increases between all
-    consecutive members; members must share edges.  Reflexive.
-    """
-    if t1 == t2:
-        return True
-    kappa = kappa_partition(tiling, s)
-    frontier = [t1]
-    seen = {t1}
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for nb in tiling.adjacency[cur]:
-                if nb in seen or kappa[nb] <= kappa[cur]:
-                    continue
-                if nb == t2:
-                    return True
-                seen.add(nb)
-                nxt.append(nb)
-        frontier = nxt
-    return False
 
 
 @dataclass(frozen=True)
@@ -495,21 +437,6 @@ def comb(tiling: Tiling, a: int) -> frozenset[Tile]:
     if not 1 <= a <= tiling.n - 1:
         raise ValueError(f"a must lie in [n-1] = [{tiling.n - 1}]")
     return closure_tiles(tiling, maximal_crossing_path(tiling, a), a)
-
-
-def find_comb_hexagon(tiling: Tiling, a: int) -> Hexagon | None:
-    """A hexagon {[a,s], [a,t], [s,t]} inside the a-comb.
-
-    Exists whenever the comb has more than one tile; None for the
-    single-tile comb (words starting with the letter a, up to commutation).
-    """
-    tiles = comb(tiling, a)
-    if len(tiles) == 1:
-        return None
-    for h in hexagons(tiling):
-        if a in h.support and set(h.tiles) <= tiles:
-            return h
-    raise AssertionError(f"comb of size {len(tiles)} contains no hexagon through {a}")
 
 
 _HIGHLIGHT = "#f4c7c3"

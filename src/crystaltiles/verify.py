@@ -12,7 +12,14 @@ from fractions import Fraction
 from itertools import product
 
 from .bz import bz_crystal_f, bz_from_lusztig
-from .crossings import _table, crystal_op, dual_crystal_op, generate_hw_crystal
+from .crossings import (
+    _crossings,
+    _table,
+    crystal_op,
+    dual_crystal_op,
+    enumerate_crossings,
+    generate_hw_crystal,
+)
 from .lusztig import LusztigDatum, oracle_op, oracle_star_op
 from .potentials import (
     UnitriangularMatrix,
@@ -23,7 +30,7 @@ from .potentials import (
 )
 from .strings import polar_duality_check
 from .tiling import build_tiling
-from .words import convex_order, enumerate_reduced_words
+from .words import convex_order, enumerate_reduced_words, star_word
 
 __all__ = [
     "SUITE_NAMES",
@@ -31,6 +38,7 @@ __all__ = [
     "weyl_dimension",
     "lattice_failures",
     "reselection_failures",
+    "mirror_failures",
 ]
 
 
@@ -88,6 +96,21 @@ def reselection_failures(word, a, dual=False) -> list:
         if tuple(p - q for p, q in zip(y.values, x.values)) != row.rvec:
             fails.append((list(word), a, dual, list(row.rvec)))
     return fails
+
+
+def mirror_failures(word, a) -> list:
+    """Dual a-crossings of T(w) and primal a-crossings of T(w*) that the other
+    side lacks, as (tile pairs, strips); the tiles of w* carry the same pairs."""
+    word = tuple(word)
+
+    def keys(crossings):
+        return {(tuple(t.pair for t in c.tiles), c.strips) for c in crossings}
+
+    ours = keys(enumerate_crossings(build_tiling(word), a, True))
+    theirs = keys(_crossings(build_tiling(star_word(word)), a, False))
+    return [("dual only", a, *k) for k in sorted(ours - theirs)] + [
+        ("mirror only", a, *k) for k in sorted(theirs - ours)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +239,8 @@ def _lattice(n, seed, rng):
         for a in range(1, n):
             for dual in (False, True):
                 fails = lattice_failures(tiling, a, dual) + reselection_failures(w, a, dual)
+                if dual:
+                    fails += mirror_failures(w, a)
                 bad.extend({"word": list(w), "where": f} for f in fails)
     for lam in weights:
         size = len(generate_hw_crystal(lam, words[0]))

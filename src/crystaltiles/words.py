@@ -50,7 +50,6 @@ __all__ = [
     "prefix_permutations",
     "convex_order",
     "star_word",
-    "positive_roots",
     "cartan_pairing",
     "root_span",
 ]
@@ -482,11 +481,6 @@ def star_word(word: Word) -> Word:
     """
     n = rank_of_word(word)
     return tuple(n - a for a in reversed(word))
-
-
-def positive_roots(n: int) -> tuple[tuple[int, int], ...]:
-    """All pairs (s, t) with 1 <= s < t <= n, lexicographically."""
-    return tuple((s, t) for s in range(1, n + 1) for t in range(s + 1, n + 1))
 
 
 def cartan_pairing(a: int, b: int) -> int:

@@ -234,6 +234,8 @@ def test_unknown_flag_exit_2():
         "render --word 1,2,1 --svg-out TMP/out.svg --highlight 1-x",
         "render --word 1,2,1 --svg-out TMP/out.svg --highlight 1-4",
         "render --word 1,2,1 --svg-out TMP/out.svg --comb 5",
+        "render --word 1,2,1 --svg-out TMP/missing/out.svg",
+        "render --word 1,2,1 --svg-out TMP",
         "cone --polar-check --word 1,2,1 --box -1",
         'bz --apply-f --n 3 --a 1 --values {"1":-1,"1,3":2}',
         'bz --apply-f --n 3 --a 1 --values {"7":5}',

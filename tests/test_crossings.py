@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import crystaltiles
-from crystaltiles import verify
+from crystaltiles import crossings, verify
 from crystaltiles.crossings import (
     crossing_form,
     crossing_rvec,
@@ -26,7 +26,7 @@ from crystaltiles.crossings import (
 )
 from crystaltiles.lusztig import LusztigDatum, oracle_op, oracle_star_op, star_datum
 from crystaltiles.tiling import build_tiling, closure_tiles
-from crystaltiles.verify import lattice_failures
+from crystaltiles.verify import lattice_failures, mirror_failures
 from crystaltiles.words import convex_order, enumerate_reduced_words, root_span
 from test_paths import weak_order_word
 
@@ -167,6 +167,42 @@ def test_dual_ops_match_star_reference():
         for a in range(1, x.n):
             for kind in ("f", "e", "eps"):
                 assert dual_crystal_op(kind, a, x) == _star_reference(kind, a, x), (kind, a, x)
+
+
+def test_dual_crossings_mirror_the_star_word():
+    """The dual search on T(w) finds the primal crossings of T(w*), on every
+    (word, a) at n <= 5 and on sampled words at n = 6 and 7."""
+    words = [w for n in (2, 3, 4, 5) for w in enumerate_reduced_words(n)]
+    rng = random.Random("mirror")
+    words += [weak_order_word(n, rng) for n in (6, 7) for _ in range(4)]
+    checked = 0
+    for word in words:
+        for a in range(1, build_tiling(word).n):
+            assert mirror_failures(word, a) == [], (word, a)
+            checked += 1
+    assert checked >= 3125
+
+
+def test_mirror_failures_report_a_lost_crossing(monkeypatch):
+    real = verify._crossings
+    monkeypatch.setattr(verify, "_crossings", lambda *args: real(*args)[:-1])
+    word = (1, 2, 1, 3, 2, 1)
+    lost = enumerate_crossings(build_tiling(word), 2, True)[-1]
+    assert mirror_failures(word, 2) == [
+        ("dual only", 2, tuple(t.pair for t in lost.tiles), lost.strips)
+    ]
+
+
+def test_operators_build_only_their_own_tiling():
+    """The operators on both sides of one datum build T(w) and no other tiling."""
+    build_tiling.cache_clear()
+    crossings._table.cache_clear()
+    x = LusztigDatum((1, 2, 1, 3, 2, 1, 4, 3, 2, 1), (1, 0, 2, 0, 1, 3, 0, 1, 2, 0))
+    for a in range(1, 5):
+        for kind in ("f", "e", "eps"):
+            crystal_op(kind, a, x)
+            dual_crystal_op(kind, a, x)
+    assert build_tiling.cache_info().misses == 1
 
 
 def _membership_by_eps_star(x, lam):

@@ -218,6 +218,37 @@ def test_commuting_squares_raise_under_python_O(kind, square):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_potential_shape_checks_raise_under_python_O():
+    """A Reineke vector with an entry 2 breaks the exponent range of r_a, and
+    a constant r_a leaves a constant term in the potential: both checks must
+    raise even when python -O strips assert statements."""
+    code = (
+        "import sys\n"
+        "from crystaltiles import potentials\n"
+        "def raises(call, words):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except AssertionError as exc:\n"
+        "        return words in str(exc)\n"
+        "    return False\n"
+        "real = potentials.reineke_poly\n"
+        "potentials.reineke_vectors = lambda tiling, a, dual: {(2, 0, 0)}\n"
+        "ok = raises(lambda: real((2, 1, 2), 1), 'exponents stay within')\n"
+        "potentials.reineke_poly = lambda word, a: potentials.LaurentPolynomial(\n"
+        "    potentials.convex_order(word), {(0, 0, 0): 1})\n"
+        "ok = ok and raises(lambda: potentials.ghkk_restriction((2, 1, 2), 1), 'constant term')\n"
+        "sys.exit(0 if sys.flags.optimize and ok else 1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(crystaltiles.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("word", enumerate_reduced_words(4)[:4])
 def test_bk_identity_random_n4(word):
     rng = random.Random(f"bk:{word}")
