@@ -65,6 +65,7 @@ __all__ = [
     "dual_crystal_op",
     "reineke_vectors",
     "hw_membership",
+    "weyl_dimension",
     "generate_hw_crystal",
 ]
 
@@ -339,12 +340,41 @@ def hw_membership(x: LusztigDatum, lam: tuple[int, ...]) -> bool:
     )
 
 
+def weyl_dimension(lam) -> int:
+    """Dimension of the irreducible module with the given weight coefficients.
+
+    Product formula over the positive roots: for each pair a < b the factor
+    is (b - a + lam_a + ... + lam_{b-1}) / (b - a).
+
+    >>> weyl_dimension((1, 1))
+    8
+    >>> weyl_dimension((2, 1))
+    15
+    """
+    lam = tuple(lam)
+    n = len(lam) + 1
+    num = den = 1
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            num *= (b - a) + sum(lam[a - 1 : b - 1])
+            den *= b - a
+    if num % den:
+        raise AssertionError(f"Weyl product {num}/{den} is not an integer")
+    return num // den
+
+
 def generate_hw_crystal(lam: tuple[int, ...], word) -> frozenset[LusztigDatum]:
-    """All elements of B(lam) as Lusztig data, by f_a search from the origin."""
+    """All elements of B(lam) as Lusztig data, by f_a search from the origin.
+
+    The search stops on its own only when hw_membership rejects every new
+    datum, so it raises AssertionError (also under python -O) as soon as it
+    holds more elements than the Weyl dimension of lam.
+    """
     word = tuple(word)
     zero = LusztigDatum(word, (0,) * len(word))
     if not hw_membership(zero, lam):
         raise AssertionError("the origin always lies in B(lam)")
+    size = weyl_dimension(lam)
     n = zero.n
     seen = {zero}
     frontier = [zero]
@@ -355,6 +385,10 @@ def generate_hw_crystal(lam: tuple[int, ...], word) -> frozenset[LusztigDatum]:
                 y = crystal_op("f", a, x)
                 if y not in seen and hw_membership(y, lam):
                     seen.add(y)
+                    if len(seen) > size:
+                        raise AssertionError(
+                            f"B({lam}) outgrew its dimension {size}: hw_membership accepted {y}"
+                        )
                     nxt.append(y)
         frontier = nxt
     return frozenset(seen)

@@ -1,4 +1,4 @@
-"""Exact determinants and inverses of integer matrices.
+"""Exact inverses of unimodular integer matrices.
 
 One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
 runs on [M | I] over Python integers.  Every division in it is exact; at the
@@ -8,7 +8,7 @@ by the parity of the row swaps.
 
 from operator import index
 
-__all__ = ["det", "unimodular_inverse"]
+__all__ = ["unimodular_inverse"]
 
 
 def _eliminate(rows) -> tuple[int, int, list[list[int]]]:
@@ -32,12 +32,6 @@ def _eliminate(rows) -> tuple[int, int, list[list[int]]]:
                 aug[i] = [(p * x - f * y) // prev for x, y in zip(aug[i], prow)]
         prev = p
     return sign, prev, [r[k:] for r in aug]
-
-
-def det(rows) -> int:
-    """Determinant of a square integer matrix given as a sequence of rows."""
-    sign, d, _ = _eliminate(rows)
-    return sign * d
 
 
 def unimodular_inverse(rows) -> tuple[tuple[int, ...], ...]:

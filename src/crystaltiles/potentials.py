@@ -12,7 +12,11 @@ Neighbour Ansatz connect the two tori; pushing r_a through them produces a
 potential with exponents in {0, -1} whose tropical cone is a unimodular
 image of the string cone, and evaluating through chamber minors recovers
 ratios of minors of a unitriangular matrix.  All identity checks are exact:
-Fraction arithmetic at rational points, never tolerances.
+rational arithmetic at rational points, never tolerances.
+
+The hot loops run over Python integers: evaluation builds one Fraction per
+value, chamber minors come from a per-matrix flag-minor table, and the cone
+check tests sparse cone rows composed with the inverse maps once per word.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-from math import lcm, prod
+from math import lcm
 
 from .crossings import reineke_vectors
-from .linalg import det, unimodular_inverse
+from .linalg import unimodular_inverse
 from .lusztig import _RATIONALS, _additive_flip, _multiplicative_flip, _transport
 from .strings import Cone, string_cone
 from .tiling import build_tiling
@@ -54,8 +58,38 @@ __all__ = [
 ]
 
 
+# Bound of the per-word caches (vertex lists, quivers, both monomial maps and
+# their inverses).  A potentials benchmark item touches about ten words; over
+# 36 items of S5 words, 128 entries cost about 460 misses per cache instead of
+# 330 (about 1 ms each) and keep the peak RSS about 1 MB lower than unbounded.
+_PER_WORD = 128
+
+
 def _label(c) -> str:
     return ",".join(map(str, c)) if isinstance(c, tuple) else str(c)
+
+
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational value."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _monomial(vals, exp) -> tuple[int, int]:
+    """(numerator, denominator) of prod_s vals[s]^exp[s], vals as int pairs.
+
+    A zero value under a negative exponent gives denominator 0.
+    """
+    num = den = 1
+    for v, e in zip(vals, exp):
+        if e > 0:
+            num *= v[0] ** e
+            den *= v[1] ** e
+        elif e < 0:
+            num *= v[1] ** -e
+            den *= v[0] ** -e
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -89,15 +123,19 @@ class LaurentPolynomial:
         return tuple(exp for exp, _ in self.terms)
 
     def eval(self, point) -> Fraction:
-        """Exact value at a point keyed by coordinate labels."""
-        total = Fraction(0)
+        """Exact value at a point keyed by coordinate labels.
+
+        Reads only coordinates with a nonzero exponent; a zero under a
+        negative exponent raises ZeroDivisionError.
+        """
+        columns = zip(self.coords, zip(*self.exponents()))
+        vals = [_ratio(point[label]) if any(col) else None for label, col in columns]
+        num, den = 0, 1
         for exp, coeff in self.terms:
-            val = Fraction(coeff)
-            for label, e in zip(self.coords, exp):
-                if e:
-                    val *= Fraction(point[label]) ** e
-            total += val
-        return total
+            p, q = _monomial(vals, exp)
+            num = num * q + coeff * p * den
+            den *= q
+        return Fraction(num, den)
 
     def __repr__(self):
         if not self.terms:
@@ -141,17 +179,10 @@ class MonomialMap:
 
     def apply(self, point) -> dict:
         """Evaluate at a point with nonzero rational entries."""
-        vec = [Fraction(point[s]) for s in self.src]
-        if any(v == 0 for v in vec):
+        vals = [_ratio(point[s]) for s in self.src]
+        if any(p == 0 for p, _ in vals):
             raise ValueError("monomial maps need nonzero coordinates")
-        out = {}
-        for d, row in zip(self.dst, self.rows):
-            val = Fraction(1)
-            for v, e in zip(vec, row):
-                if e:
-                    val *= v**e
-            out[d] = val
-        return out
+        return {d: Fraction(*_monomial(vals, row)) for d, row in zip(self.dst, self.rows)}
 
     def pullback(self, poly: LaurentPolynomial) -> LaurentPolynomial:
         """poly (on dst) composed with this map: x^y becomes x^(y @ rows) on src."""
@@ -200,12 +231,18 @@ class ExchangeQuiver:
 
 @dataclass(frozen=True)
 class UnitriangularMatrix:
-    """Square matrix with unit diagonal, zeros below, exact rational entries."""
+    """Square matrix with unit diagonal, zeros below, exact rational entries.
+
+    Its flag minors (first k rows, any k columns) are memoised as asked for,
+    each a Laplace expansion along row k over rows scaled to integers once.
+    """
 
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in self.rows)
+        rows = tuple(
+            tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in self.rows
+        )
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
@@ -220,6 +257,35 @@ class UnitriangularMatrix:
     def n(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def _flag(self) -> tuple:
+        """(integer rows, running products of their scales, minor table)."""
+        scales = [lcm(*(e.denominator for e in row)) for row in self.rows]
+        ints = tuple(
+            tuple(e.numerator * (s // e.denominator) for e in row)
+            for row, s in zip(self.rows, scales)
+        )
+        running = [1]
+        for s in scales:
+            running.append(running[-1] * s)
+        return ints, tuple(running), {(): 1}
+
+    def _scaled_minor(self, cols: tuple[int, ...]) -> int:
+        """The minor of the first #cols integer rows on cols (sorted, in 1..n)."""
+        ints, _, table = self._flag
+        got = table.get(cols)
+        if got is None:
+            k = len(cols)
+            row = ints[k - 1]
+            got = 0
+            for m, c in enumerate(cols):
+                e = row[c - 1]
+                if e:
+                    term = e * self._scaled_minor(cols[:m] + cols[m + 1 :])
+                    got += -term if (k - 1 - m) % 2 else term
+            table[cols] = got
+        return got
+
 
 def chamber_minor(u, subset) -> Fraction:
     """Minor of the first #subset rows against the columns in subset.
@@ -232,15 +298,10 @@ def chamber_minor(u, subset) -> Fraction:
     """
     if not isinstance(u, UnitriangularMatrix):
         u = UnitriangularMatrix(u)
-    cols = sorted(set(subset))
-    if not cols:
-        return Fraction(1)
-    if cols[0] < 1 or cols[-1] > u.n:
+    cols = tuple(sorted(set(subset)))
+    if cols and (cols[0] < 1 or cols[-1] > u.n):
         raise ValueError("column labels must lie in 1..n")
-    rows = [[u.rows[r][c - 1] for c in cols] for r in range(len(cols))]
-    scales = [lcm(*(e.denominator for e in row)) for row in rows]
-    ints = [[int(e * s) for e in row] for row, s in zip(rows, scales)]
-    return Fraction(det(ints), prod(scales))
+    return Fraction(u._scaled_minor(cols), u._flag[1][len(cols)])
 
 
 def bk_value(u, a) -> Fraction:
@@ -256,11 +317,11 @@ def bk_value(u, a) -> Fraction:
         u = UnitriangularMatrix(u)
     if not 1 <= a <= u.n - 1:
         raise ValueError("a must lie in 1..n-1")
-    den = chamber_minor(u, range(a + 1, u.n + 1))
+    # both minors take the first n - a rows, so their row scales cancel
+    den = u._scaled_minor(tuple(range(a + 1, u.n + 1)))
     if den == 0:
         raise ZeroDivisionError(f"chamber minor of columns {a + 1}..{u.n} vanishes")
-    num = chamber_minor(u, [a, *range(a + 2, u.n + 1)])
-    return num / den
+    return Fraction(u._scaled_minor((a, *range(a + 2, u.n + 1))), den)
 
 
 def reineke_poly(word, a, dual: bool = True) -> LaurentPolynomial:
@@ -367,14 +428,14 @@ def transform_check_rtrans(a, i, j, points) -> dict:
     return {"a": a, "words": (i, j), "points": checked, "failures": failures, "ok": not failures}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_WORD)
 def _off_left_vertices(word: tuple[int, ...]) -> tuple:
     tiling = build_tiling(word)
     prefixes = {tuple(range(1, k + 1)) for k in range(tiling.n + 1)}
     return tuple(sorted(v for v in tiling.vertices if v not in prefixes))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_WORD)
 def quiver(word) -> ExchangeQuiver:
     """The exchange quiver of a word's tiling.
 
@@ -433,7 +494,7 @@ def is_optimized(word, a) -> bool:
     return sum(e in right for e in tile.edges) == 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_WORD)
 def chamber_ansatz_dual(word) -> MonomialMap:
     """Tile coordinates -> off-left-boundary vertex coordinates.
 
@@ -444,25 +505,20 @@ def chamber_ansatz_dual(word) -> MonomialMap:
     word = tuple(word)
     tiling = build_tiling(word)
     verts = _off_left_vertices(word)
+    vidx = {v: m for m, v in enumerate(verts)}
     pairs = convex_order(word)
-    tiles = [tiling.by_pair[p] for p in pairs]
-    rows = []
-    for v in verts:
-        row = []
-        for tile in tiles:
-            if v in (tile.left, tile.right):
-                row.append(-1)
-            elif v in (tile.upper, tile.lower):
-                row.append(1)
-            else:
-                row.append(0)
-        rows.append(tuple(row))
-    mm = MonomialMap(pairs, verts, tuple(rows))
+    rows = [[0] * len(pairs) for _ in verts]
+    for t, pair in enumerate(pairs):
+        # tile corners in the order lower, left, right, upper
+        for v, e in zip(tiling.by_pair[pair].vertices, (1, -1, -1, 1)):
+            if v in vidx:
+                rows[vidx[v]][t] = e
+    mm = MonomialMap(pairs, verts, rows)
     _unimodular_inverse(mm)
     return mm
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_WORD)
 def neighbour_ansatz(word) -> MonomialMap:
     """Vertex coordinates -> tile coordinates, tile T reading left/right.
 
@@ -488,7 +544,7 @@ def neighbour_ansatz(word) -> MonomialMap:
     return MonomialMap(verts, pairs, tuple(rows))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_WORD)
 def _unimodular_inverse(mm: MonomialMap) -> MonomialMap:
     """The inverse monomial map, dst -> src; ValueError unless mm is unimodular."""
     return MonomialMap(mm.dst, mm.src, unimodular_inverse(mm.rows))
@@ -576,6 +632,28 @@ def _box_points(dim, box, cap, rng):
             yield tuple(rng.randint(-box, box) for _ in range(dim))
 
 
+def _sparse(rows) -> tuple:
+    """Integer rows as tuples of their nonzero (index, coefficient) pairs."""
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
+
+
+def _through(rows, mm: MonomialMap) -> tuple:
+    """Cone rows on mm.dst as rows on mm.src: z satisfies them iff mm.trop(z) does."""
+    cols = list(zip(*mm.rows))
+    return tuple(tuple(sum(r * e for r, e in zip(row, col)) for col in cols) for row in rows)
+
+
+def _inside(rows, z) -> bool:
+    """Whether z satisfies every sparse row, stopping at the first failure."""
+    for row in rows:
+        total = 0
+        for i, c in row:
+            total += c * z[i]
+        if total < 0:
+            return False
+    return True
+
+
 def cone_correspondence_check(word, box=2, points=20, seed=0, cap=200000) -> dict:
     """Compare the potential cone, the string cone, and the minor-ratio cone.
 
@@ -583,29 +661,32 @@ def cone_correspondence_check(word, box=2, points=20, seed=0, cap=200000) -> dic
     holds more than cap points) this checks that membership in the potential
     cone matches membership of the chamber-inverse image in the string cone,
     and that membership in the string cone matches membership of the
-    neighbour-inverse image in the minor-ratio cone.  On top of that the
-    composite identity r_a = (potential after chamber map) on neighbour
+    neighbour-inverse image in the minor-ratio cone (tested through cone rows
+    composed with the inverse maps, exactly, once per word).  On top of that
+    the composite identity r_a = (potential after chamber map) on neighbour
     images is verified at seeded positive rational points.
     """
     word = tuple(word)
     n = rank_of_word(word)
     rng = random.Random(f"{seed}:{word}")
     ca = chamber_ansatz_dual(word)
-    ca_inv = _unimodular_inverse(ca)
     scone = string_cone(word)
     polys = [reineke_poly(word, a) for a in range(1, n)]
     restrictions = [ghkk_restriction(word, a) for a in range(1, n)]
-    pot_cone = Cone(ca.dst, sorted({exp for w in restrictions for exp in w.exponents()}))
+    pot_rows = {exp for w in restrictions for exp in w.exponents()}
     io = neighbour_ansatz(word)
-    io_inv = _unimodular_inverse(io)
-    bk_cone = Cone(io.src, sorted({exp for r in polys for exp in io.pullback(r).exponents()}))
+    bk_rows = {exp for r in polys for exp in io.pullback(r).exponents()}
+    pot = _sparse(pot_rows)
+    string_via_ca = _sparse(_through(scone.rows, _unimodular_inverse(ca)))
+    string = _sparse(scone.rows)
+    bk_via_io = _sparse(_through(bk_rows, _unimodular_inverse(io)))
     failures = []
     lattice = 0
     for z in _box_points(len(word), box, cap, rng):
         lattice += 1
-        if pot_cone.contains(z) != scone.contains(ca_inv.trop(z)):
+        if _inside(pot, z) != _inside(string_via_ca, z):
             failures.append(("potential-vs-string", z))
-        if scone.contains(z) != bk_cone.contains(io_inv.trop(z)):
+        if _inside(string, z) != _inside(bk_via_io, z):
             failures.append(("string-vs-minor", z))
     for _ in range(points):
         t = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in ca.dst}

@@ -19,6 +19,7 @@ from .crossings import (
     dual_crystal_op,
     enumerate_crossings,
     generate_hw_crystal,
+    weyl_dimension,
 )
 from .lusztig import LusztigDatum, oracle_op, oracle_star_op
 from .potentials import (
@@ -35,34 +36,10 @@ from .words import convex_order, enumerate_reduced_words, star_word
 __all__ = [
     "SUITE_NAMES",
     "run",
-    "weyl_dimension",
     "lattice_failures",
     "reselection_failures",
     "mirror_failures",
 ]
-
-
-def weyl_dimension(lam) -> int:
-    """Dimension of the irreducible module with the given weight coefficients.
-
-    Product formula over the positive roots: for each pair a < b the factor
-    is (b - a + lam_a + ... + lam_{b-1}) / (b - a).
-
-    >>> weyl_dimension((1, 1))
-    8
-    >>> weyl_dimension((2, 1))
-    15
-    """
-    lam = tuple(lam)
-    n = len(lam) + 1
-    num = den = 1
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            num *= (b - a) + sum(lam[a - 1 : b - 1])
-            den *= b - a
-    if num % den:
-        raise AssertionError(f"Weyl product {num}/{den} is not an integer")
-    return num // den
 
 
 def lattice_failures(tiling, a, dual=False) -> list:

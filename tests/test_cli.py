@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import crystaltiles
-from crystaltiles import cli, verify
+from crystaltiles import cli, crossings
 
 
 def run(capsys, argv):
@@ -261,7 +261,7 @@ def test_bad_arguments_exit_2_without_traceback(argv, tmp_path):
 
 
 def test_weyl_dimension_formula():
-    assert verify.weyl_dimension((1, 0)) == 3
-    assert verify.weyl_dimension((1, 1)) == 8
-    assert verify.weyl_dimension((2, 1)) == 15
-    assert verify.weyl_dimension((1, 1, 1)) == 64
+    assert crossings.weyl_dimension((1, 0)) == 3
+    assert crossings.weyl_dimension((1, 1)) == 8
+    assert crossings.weyl_dimension((2, 1)) == 15
+    assert crossings.weyl_dimension((1, 1, 1)) == 64

@@ -254,6 +254,32 @@ def test_self_checks_raise_under_python_O():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_hw_crystal_search_stops_past_the_weyl_dimension():
+    """A membership test that accepts every datum never ends the f-search on
+    its own: the search must raise once it outgrows dim V(lam) = 1, within a
+    second, even when python -O strips assert statements."""
+    code = (
+        "import sys, time\n"
+        "from crystaltiles import crossings\n"
+        "crossings.hw_membership = lambda x, lam: True\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    crossings.generate_hw_crystal((0, 0, 0), (1, 2, 1, 3, 2, 1))\n"
+        "except AssertionError as exc:\n"
+        "    fast = time.perf_counter() - start < 1\n"
+        "    sys.exit(0 if sys.flags.optimize and fast and 'dimension 1:' in str(exc) else 1)\n"
+        "sys.exit(1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(crystaltiles.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def _reference_lattice_failures(tiling, a, dual, dropped=None):
     """The lattice check as it stood before crossings became table indices:
     a dict over pairs of Crossing objects, here with the closure order read

@@ -5,13 +5,17 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import crystaltiles
+from crystaltiles import potentials
+from crystaltiles.linalg import unimodular_inverse
 from crystaltiles.potentials import (
     LaurentPolynomial,
+    MonomialMap,
     UnitriangularMatrix,
     bk_identity_check,
     bk_value,
@@ -29,7 +33,9 @@ from crystaltiles.potentials import (
     transform_check_rtrans,
     tropical_cone,
 )
-from crystaltiles.words import convex_order, enumerate_reduced_words
+from crystaltiles.strings import string_cone
+from crystaltiles.words import convex_order, enumerate_reduced_words, rank_of_word
+from test_paths import weak_order_word
 
 U3 = UnitriangularMatrix(
     [
@@ -175,6 +181,121 @@ def test_cone_correspondence_n3():
         rep = cone_correspondence_check(word, box=3, points=10)
         assert rep["ok"], rep["failures"]
         assert rep["lattice_points"] == 7 ** 3
+
+
+def _times(rows, matrix) -> set:
+    """Integer row vectors times an integer matrix, as a set of rows."""
+    cols = list(zip(*matrix))
+    return {tuple(sum(r * e for r, e in zip(row, col)) for col in cols) for row in rows}
+
+
+def test_cone_rows_compose_exactly():
+    """The three cones of the cone check are one cone in three coordinates.
+
+    String rows times the inverse chamber matrix are the potential-cone rows,
+    and minor-ratio rows times the inverse neighbour matrix are the string
+    rows, as sets, on every word at n <= 5 and on sampled n = 6 words.
+    """
+    rng = random.Random("potentials:cone-rows")
+    words = [w for n in (2, 3, 4, 5) for w in enumerate_reduced_words(n)]
+    words += [weak_order_word(6, rng) for _ in range(6)]
+    for word in words:
+        n = rank_of_word(word)
+        ca, io = chamber_ansatz_dual(word), neighbour_ansatz(word)
+        string_rows = set(string_cone(word).rows)
+        pot_rows = {e for a in range(1, n) for e in ghkk_restriction(word, a).exponents()}
+        bk_rows = {e for a in range(1, n) for e in io.pullback(reineke_poly(word, a)).exponents()}
+        assert _times(string_rows, unimodular_inverse(ca.rows)) == pot_rows, word
+        assert _times(bk_rows, unimodular_inverse(io.rows)) == string_rows, word
+
+
+def test_sparse_cone_rows_match_dense_membership():
+    """The cone check's sparse, precomposed rows decide membership exactly as
+    Cone.contains after MonomialMap.trop, at every point of [-1, 1]^N, n <= 4."""
+    for word in [w for n in (2, 3, 4) for w in enumerate_reduced_words(n)]:
+        ca_inv = potentials._unimodular_inverse(chamber_ansatz_dual(word))
+        scone = string_cone(word)
+        plain = potentials._sparse(scone.rows)
+        moved = potentials._sparse(potentials._through(scone.rows, ca_inv))
+        for z in product((-1, 0, 1), repeat=len(word)):
+            assert potentials._inside(plain, z) == scone.contains(z)
+            assert potentials._inside(moved, z) == scone.contains(ca_inv.trop(z))
+
+
+def _eval_reference(poly, point):
+    """LaurentPolynomial.eval as a loop over Fractions."""
+    total = Fraction(0)
+    for exp, coeff in poly.terms:
+        val = Fraction(coeff)
+        for label, e in zip(poly.coords, exp):
+            if e:
+                val *= Fraction(point[label]) ** e
+        total += val
+    return total
+
+
+def _apply_reference(mm, point):
+    """MonomialMap.apply as a loop over Fractions."""
+    vec = [Fraction(point[s]) for s in mm.src]
+    if any(v == 0 for v in vec):
+        raise ValueError("monomial maps need nonzero coordinates")
+    out = {}
+    for d, row in zip(mm.dst, mm.rows):
+        val = Fraction(1)
+        for v, e in zip(vec, row):
+            if e:
+                val *= v**e
+        out[d] = val
+    return out
+
+
+def _signed_point(rng, coords):
+    """Nonzero entries of both signs: Fractions, and some plain ints."""
+    point = {}
+    for c in coords:
+        v = rng.choice((-1, 1)) * rng.randint(1, 9)
+        point[c] = v if rng.random() < 0.25 else Fraction(v, rng.randint(1, 9))
+    return point
+
+
+def test_eval_and_apply_match_fraction_loops():
+    rng = random.Random("potentials:kernels")
+    polys, maps = [], []
+    for word in [*enumerate_reduced_words(4)[:6], *(weak_order_word(5, rng) for _ in range(3))]:
+        n = rank_of_word(word)
+        polys += [reineke_poly(word, a) for a in range(1, n)]
+        polys += [ghkk_restriction(word, a) for a in range(1, n)]
+        maps += [chamber_ansatz_dual(word), neighbour_ansatz(word)]
+    for _ in range(40):
+        coords = tuple(range(rng.randint(1, 7)))
+        terms = {
+            tuple(rng.randint(-3, 3) for _ in coords): rng.randint(-5, 5)
+            for _ in range(rng.randint(0, 5))
+        }
+        polys.append(LaurentPolynomial(coords, terms))
+        rows = [[rng.randint(-3, 3) for _ in coords] for _ in range(rng.randint(1, 6))]
+        maps.append(MonomialMap(coords, tuple(range(len(rows))), rows))
+    for poly in polys:
+        for _ in range(5):
+            point = _signed_point(rng, poly.coords)
+            assert poly.eval(point) == _eval_reference(poly, point)
+    for mm in maps:
+        for _ in range(5):
+            point = _signed_point(rng, mm.src)
+            assert mm.apply(point) == _apply_reference(mm, point)
+
+
+def test_zero_coordinates_raise_as_before():
+    poly = LaurentPolynomial(("a", "b", "c"), {(1, -1, 0): 2, (0, 2, 0): -1})
+    assert poly.eval({"a": 0, "b": Fraction(-1, 2)}) == Fraction(-1, 4)  # "c" is never read
+    with pytest.raises(ZeroDivisionError):
+        poly.eval({"a": 1, "b": 0, "c": 1})
+    with pytest.raises(ZeroDivisionError):
+        _eval_reference(poly, {"a": 1, "b": 0, "c": 1})
+    mm = MonomialMap(("a", "b"), ("x",), [[1, 0]])
+    for apply in (mm.apply, lambda pt: _apply_reference(mm, pt)):
+        with pytest.raises(ValueError):
+            apply({"a": 1, "b": Fraction(0)})
 
 
 def test_cluster_mutation_example():
