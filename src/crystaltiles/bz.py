@@ -54,7 +54,10 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def proper_subsets(n: int) -> tuple[tuple[int, ...], ...]:
-    """All nonempty proper subsets of [n] as sorted tuples."""
+    """All nonempty proper subsets of [n] as sorted tuples.
+
+    The cache is keyed by n alone, one entry per rank, so it stays unbounded.
+    """
     out = []
     for k in range(1, n):
         out.extend(combinations(range(1, n + 1), k))
@@ -169,13 +172,15 @@ def trop_chamber_ansatz(z: BZDatum, word) -> LusztigDatum:
     return LusztigDatum(word, tuple(vals))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _vertex_solver(word: tuple[int, ...]):
     """Integer inverse of the tile system of a word's tiling.
 
     Unknowns are the vertex subsets that are not pinned to zero (the empty,
     full, and suffix sets); one equation per tile.  The matrix is checked
-    unimodular, so the inverse is integral and solutions are exact.
+    unimodular, so the inverse is integral and solutions are exact.  The
+    cache keeps 1024 solvers, like tiling.build_tiling, more than the 768
+    words of n = 5.
     """
     tiling = build_tiling(word)
     n = tiling.n
@@ -208,6 +213,7 @@ def find_word_with_vertex(subset: tuple[int, ...], n: int) -> tuple[int, ...]:
     Factor the longest element through the permutation u sending an initial
     block to the subset (ascending): l(u) + l(u^-1 w0) = l(w0) for every u,
     so the word is reduced, and its prefix u makes the subset a chamber set.
+    The cache holds at most 2^n - 2 words per rank n, so it stays unbounded.
     """
     subset = tuple(sorted(subset))
     if not subset or len(subset) >= n:

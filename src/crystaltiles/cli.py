@@ -13,14 +13,7 @@ import json
 import sys
 
 from .bz import BZDatum, bz_crystal_f, bz_from_lusztig, proper_subsets, validate_bz
-from .crossings import (
-    crossing_rvec,
-    crystal_op,
-    dual_crystal_op,
-    enumerate_crossings,
-    is_reineke,
-    reineke_vectors,
-)
+from .crossings import crossing_table, crystal_op, dual_crystal_op, reineke_vectors
 from .lusztig import LusztigDatum, oracle_op, oracle_star_op
 from .potentials import ghkk_restriction, neighbour_ansatz, reineke_poly
 from .strings import polar_duality_check, string_cone, string_datum
@@ -139,14 +132,14 @@ def _cmd_crossings(args) -> int:
             "dual": args.dual,
             "crossings": [
                 {
-                    "tiles": [list(t.pair) for t in c.tiles],
-                    "strips": list(c.strips),
-                    "dual": c.dual,
-                    "rvec": list(crossing_rvec(c)),
-                    "reineke": is_reineke(c),
+                    "tiles": [list(t.pair) for t in row.crossing.tiles],
+                    "strips": list(row.crossing.strips),
+                    "dual": row.crossing.dual,
+                    "rvec": list(row.rvec),
+                    "reineke": row.reineke,
                 }
                 for a in ([args.a] if args.a is not None else letters)
-                for c in enumerate_crossings(tiling, a, args.dual)
+                for row in crossing_table(tiling, a, args.dual)
             ],
             "reineke_vectors": sorted(list(v) for v in vectors),
         }

@@ -23,15 +23,17 @@ travel, read off the counter-clockwise tile edges by tiling.closure_tiles
 maximizers are unique and Reineke; this is checked on every application
 rather than assumed, by explicit raises that also run under python -O.
 
-One table per (tiling, a, dual) holds all of this: a row per crossing, in
-enumeration order, with the crossing, its rvec, the datum positions its form
-adds and subtracts, its Reineke flag and its up-set in the closure order as
-row indices.  Every reader goes through it; closures live only while a table
+One table per (tiling, a, dual), crossing_table, holds all of this: a
+CrossingRow per crossing, in enumeration order, with the crossing, its rvec,
+the datum positions its form adds and subtracts, its Reineke flag and its
+up-set in the closure order as row indices.  Every reader, in this module,
+in verify and in the CLI, goes through it; closures live only while a table
 is built, nothing is keyed by a Crossing, and a table build runs one search,
 on its own tiling.  The cache keeps 256 tables of about 3 KB each at n = 5:
 the 128 tables that the operators on 16 words read (4 primal and 4 dual per
-word), or the 8 tables the lattice suite reads per word.  All 6144 tables of
-n = 5 would take about 19 MB.
+word), or the 12 tables the lattice suite reads per word (its mirror check
+adds the star word's 4 primal tables).  All 6144 tables of n = 5 would take
+about 19 MB.
 
 The starred operators are the same formula on the dual tables, with the
 same selection rule: f_a* adds rvec of the order-maximal maximizer and e_a*
@@ -56,10 +58,8 @@ from .words import MAX_ENUM_RANK, convex_order
 
 __all__ = [
     "Crossing",
-    "enumerate_crossings",
-    "crossing_rvec",
-    "crossing_form",
-    "poset_leq",
+    "CrossingRow",
+    "crossing_table",
     "is_reineke",
     "crystal_op",
     "dual_crystal_op",
@@ -74,7 +74,6 @@ __all__ = [
 class Crossing:
     """A crossing: tile path, derived strip sequence, primal/dual flag."""
 
-    tiling: Tiling
     tiles: tuple[Tile, ...]
     strips: tuple[int, ...]
     dual: bool
@@ -139,7 +138,7 @@ def _crossings(tiling: Tiling, a: int, dual: bool) -> tuple[Crossing, ...]:
                 stack.append(path + (nb,))
     crossings = tuple(
         sorted(
-            (Crossing(tiling, p, _strip_sequence(p, a), dual) for p in paths),
+            (Crossing(p, _strip_sequence(p, a), dual) for p in paths),
             key=lambda c: (len(c.tiles), tuple(t.pair for t in c.tiles)),
         )
     )
@@ -178,7 +177,7 @@ def is_reineke(c: Crossing) -> bool:
     return True
 
 
-class _Row(NamedTuple):
+class CrossingRow(NamedTuple):
     """One crossing of a table, with everything the operators read of it."""
 
     crossing: Crossing
@@ -190,8 +189,16 @@ class _Row(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def _table(tiling: Tiling, a: int, dual: bool) -> tuple[_Row, ...]:
-    """The (dual) a-crossings of the tiling as indexed rows, in enumeration order."""
+def crossing_table(tiling: Tiling, a: int, dual: bool = False) -> tuple[CrossingRow, ...]:
+    """The (dual) a-crossings of the tiling as indexed rows, in enumeration
+    order: by length, then by tile pairs.
+
+    The cache keys a call by its arguments as written, so the package always
+    passes dual positionally and one entry serves each (tiling, a, dual).
+
+    >>> [row.crossing.strips for row in crossing_table(build_tiling((1, 2, 1)), 1)]
+    [(1, 2)]
+    """
     order = convex_order(tiling.word)
     index = {p: k for k, p in enumerate(order)}
     crossings = _crossings(tiling, a, dual)
@@ -205,53 +212,12 @@ def _table(tiling: Tiling, a: int, dual: bool) -> tuple[_Row, ...]:
         minus = tuple(index[p] for p in pairs if not p[0] <= a < p[1] and p not in rv)
         up = frozenset(j for j, (cl2, op2) in enumerate(cl_op) if cl <= cl2 and op <= op2)
         rvec = tuple(rv.get(p, 0) for p in order)
-        rows.append(_Row(c, rvec, plus, minus, is_reineke(c), up))
+        rows.append(CrossingRow(c, rvec, plus, minus, is_reineke(c), up))
     return tuple(rows)
 
 
-def _locate(c: Crossing) -> tuple[tuple[_Row, ...], int]:
-    """The table holding c and c's row index; strip sequences are unique there."""
-    rows = _table(c.tiling, c.a, c.dual)
-    for k, row in enumerate(rows):
-        if row.crossing.strips == c.strips:
-            return rows, k
-    raise ValueError(f"{c!r} is not a crossing of its tiling")
-
-
-def _form(row: _Row, values: tuple[int, ...]) -> int:
+def _form(row: CrossingRow, values: tuple[int, ...]) -> int:
     return sum(values[i] for i in row.plus) - sum(values[i] for i in row.minus)
-
-
-def enumerate_crossings(tiling: Tiling, a: int, dual: bool = False) -> tuple[Crossing, ...]:
-    """All (dual) a-crossings of the tiling, sorted by length, then by tile pairs.
-
-    >>> len(enumerate_crossings(build_tiling((1, 2, 1)), 1))
-    1
-    """
-    return tuple(row.crossing for row in _table(tiling, a, dual))
-
-
-def crossing_rvec(c: Crossing) -> tuple[int, ...]:
-    """rvec as a vector in the anchor word's root order: +-1 at transition tiles."""
-    rows, k = _locate(c)
-    return rows[k].rvec
-
-
-def crossing_form(c: Crossing, x: LusztigDatum) -> int:
-    """Evaluate the crossing's linear form on a Lusztig datum of the same word."""
-    if x.word != c.tiling.word:
-        raise ValueError("datum and crossing anchored to different words")
-    rows, k = _locate(c)
-    return _form(rows[k], x.values)
-
-
-def poset_leq(c1: Crossing, c2: Crossing) -> bool:
-    """The closure order: cl(c1) <= cl(c2) and op(c1) <= op(c2)."""
-    if (c1.tiling, c1.a, c1.dual) != (c2.tiling, c2.a, c2.dual):
-        raise ValueError("crossings live in different posets")
-    rows, i = _locate(c1)
-    _, j = _locate(c2)
-    return j in rows[i].up
 
 
 def crystal_op(kind: str, a: int, x: LusztigDatum):
@@ -287,7 +253,7 @@ def dual_crystal_op(kind: str, a: int, x: LusztigDatum):
 
 def _crossing_op(kind: str, a: int, x: LusztigDatum, dual: bool):
     """The crossing formula on the (dual) a-crossings of x's tiling."""
-    rows = _table(build_tiling(x.word), a, dual)
+    rows = crossing_table(build_tiling(x.word), a, dual)
     vals = x.values
     forms = [_form(row, vals) for row in rows]
     eps = max(forms)
@@ -321,7 +287,7 @@ def reineke_vectors(tiling: Tiling, a: int, dual: bool = False) -> frozenset[tup
 
     Coincides with {f_a x - x} (resp. starred) over all Lusztig data.
     """
-    return frozenset(row.rvec for row in _table(tiling, a, dual) if row.reineke)
+    return frozenset(row.rvec for row in crossing_table(tiling, a, dual) if row.reineke)
 
 
 def hw_membership(x: LusztigDatum, lam: tuple[int, ...]) -> bool:
@@ -336,7 +302,9 @@ def hw_membership(x: LusztigDatum, lam: tuple[int, ...]) -> bool:
         raise ValueError("lam must be a dominant weight: n-1 nonnegative integers")
     tiling = build_tiling(x.word)
     return not any(
-        _form(row, x.values) > lam[a - 1] for a in range(1, n) for row in _table(tiling, a, True)
+        _form(row, x.values) > lam[a - 1]
+        for a in range(1, n)
+        for row in crossing_table(tiling, a, True)
     )
 
 

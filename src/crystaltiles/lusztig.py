@@ -135,7 +135,10 @@ def transition(x: LusztigDatum, j) -> LusztigDatum:
 
 @lru_cache(maxsize=None)
 def word_starting_with(a: int, n: int) -> tuple[int, ...]:
-    """A canonical reduced word for w0 beginning with the letter a."""
+    """A canonical reduced word for w0 beginning with the letter a.
+
+    The cache holds n - 1 words per rank n, so it stays unbounded.
+    """
     w0 = longest_element(n)
     s_a = tuple(a + 1 if b == a else a if b == a + 1 else b for b in range(1, n + 1))
     return (a,) + reduced_word_of_permutation(compose(s_a, w0))
@@ -143,7 +146,10 @@ def word_starting_with(a: int, n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def word_ending_with(a: int, n: int) -> tuple[int, ...]:
-    """A canonical reduced word for w0 ending with the letter a."""
+    """A canonical reduced word for w0 ending with the letter a.
+
+    The cache holds n - 1 words per rank n, so it stays unbounded.
+    """
     w0 = longest_element(n)
     lst = list(w0)
     lst[a - 1], lst[a] = lst[a], lst[a - 1]

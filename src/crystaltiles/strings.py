@@ -172,9 +172,12 @@ def string_op_f(a: int, s: StringDatum) -> StringDatum:
     return StringDatum(word, tuple(v + (j == best_j) for j, v in enumerate(vals)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def string_cone(word: tuple[int, ...]) -> Cone:
     """Cone of all string data: rows are the dual Reineke vectors of the word.
+
+    The cache keeps 1024 cones, like tiling.build_tiling, more than the 768
+    words of n = 5.
 
     >>> string_cone((2, 1, 2)).rows
     ((0, 0, 1), (0, 1, -1), (1, 0, 0))

@@ -8,10 +8,11 @@ serves as the edge label.  The tile [s,t; S] has the four vertices
 S, S+{s}, S+{t}, S+{s,t}.
 
 This module builds tilings from words and computes the border-sweep
-partitions kappa_s, strips, hexagon flips, closures of crossing paths, combs
-(closures of maximal crossings) and SVG pictures.  A tiling is pure set
-combinatorics: closures are read off the counter-clockwise order of tile
-edges, and the float coordinates v_S exist only inside render_svg.
+partitions kappa_s, strips, closures of crossing paths, combs (closures of
+maximal crossings) and SVG pictures.  A tiling is pure set combinatorics:
+closures are read off the counter-clockwise order of tile edges, and the
+float coordinates v_S exist only inside render_svg.  Hexagon flips are
+built on words, by words.braid_steps.
 """
 
 from __future__ import annotations
@@ -20,24 +21,14 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .words import (
-    WordMove,
-    apply_move,
-    convex_order,
-    expose_hexagon,
-    prefix_permutations,
-    rank_of_word,
-)
+from .words import convex_order, prefix_permutations, rank_of_word
 
 __all__ = [
     "Tile",
     "Tiling",
-    "Hexagon",
     "build_tiling",
     "kappa_partition",
     "strip",
-    "hexagons",
-    "flip",
     "maximal_crossing_path",
     "closure_tiles",
     "comb",
@@ -174,12 +165,18 @@ class Tiling:
         return _edge(cyc[(k - 1) % m], cyc[k % m])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def build_tiling(word: tuple[int, ...]) -> Tiling:
     """The tiling T_i of a reduced word i for w0.
 
     The k-th tile is [{w_{k-1}(i_k), w_{k-1}(i_k+1)}; w_{k-1}([i_k - 1])]
     where w_k is the product of the first k letters.
+
+    The cache keeps 1024 tilings, more than the 768 words of n = 5, so a
+    sweep over every n = 5 word (the lattice suite, with its star words)
+    builds each tiling once.  An n = 6 tiling, with the properties that the
+    operators fill in, holds about 26 KB, so a full cache holds about 27 MB.
+    A rebuilt tiling equals the evicted one, so caches keyed by tilings hit.
 
     >>> [t.pair for t in build_tiling((2, 1, 2)).tiles]
     [(2, 3), (1, 3), (1, 2)]
@@ -216,9 +213,9 @@ def kappa_partition(tiling: Tiling, s: int) -> dict[Tile, int]:
 def _kappa_levels(tiling: Tiling, s: int) -> tuple[tuple[Tile, int], ...]:
     """The levels of kappa_s, tile by tile in sweep order.
 
-    Bounded like crossings._table: a word's crossing tables sweep s = 1..n-1
-    on its own tiling, and no table sweeps another word's (dual crossings
-    descend kappa_a, so s > n is never swept for them).  At n = 5 that is 4
+    Bounded like crossings.crossing_table: a word's crossing tables sweep
+    s = 1..n-1 on its own tiling, and no table sweeps another word's (dual
+    crossings descend kappa_a, so s > n is never swept for them).  At n = 5 that is 4
     entries per word: 64 for crosscheck's 16 words, and 8 at a time for the
     lattice suite, whose mirror check also sweeps the star word's tiling.
     """
@@ -279,94 +276,6 @@ def strip(tiling: Tiling, s: int) -> tuple[Tile, ...]:
     if len(out) != n - 1:
         raise AssertionError(f"strip {s} has {len(out)} tiles")
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class Hexagon:
-    """Three tiles [s,t], [s,u], [t,u] (s < t < u) filling a regular 6-gon.
-
-    left_form means the bases are ([s,t;S], [s,u;S+{t}], [t,u;S]); the flip
-    exchanges this with the right form ([s,t;S+{u}], [s,u;S], [t,u;S+{s}]).
-    """
-
-    tiles: tuple[Tile, Tile, Tile]
-    support: tuple[int, int, int]
-    base: tuple[int, ...]
-    left_form: bool
-
-    def flipped_tiles(self) -> tuple[Tile, Tile, Tile]:
-        s, t, u = self.support
-        if self.left_form:
-            return (
-                Tile((s, t), _vertex(self.base + (u,))),
-                Tile((s, u), self.base),
-                Tile((t, u), _vertex(self.base + (s,))),
-            )
-        return (
-            Tile((s, t), self.base),
-            Tile((s, u), _vertex(self.base + (t,))),
-            Tile((t, u), self.base),
-        )
-
-
-def hexagons(tiling: Tiling) -> tuple[Hexagon, ...]:
-    """All hexagons of the tiling, sorted by support triple."""
-    out = []
-    n = tiling.n
-    for s in range(1, n + 1):
-        for t in range(s + 1, n + 1):
-            for u in range(t + 1, n + 1):
-                st, su, tu = (
-                    tiling.by_pair[(s, t)],
-                    tiling.by_pair[(s, u)],
-                    tiling.by_pair[(t, u)],
-                )
-                if st.base == tu.base and su.base == _vertex(st.base + (t,)):
-                    out.append(Hexagon((st, su, tu), (s, t, u), st.base, True))
-                elif st.base == _vertex(su.base + (u,)) and tu.base == _vertex(
-                    su.base + (s,)
-                ):
-                    out.append(Hexagon((st, su, tu), (s, t, u), su.base, False))
-    return tuple(out)
-
-
-def _as_hexagon(tiling: Tiling, hexagon) -> Hexagon:
-    if isinstance(hexagon, Hexagon):
-        candidates = [h for h in hexagons(tiling) if h == hexagon]
-    else:
-        wanted = set()
-        for item in hexagon:
-            wanted.add(item.pair if isinstance(item, Tile) else tuple(sorted(item)))
-        candidates = [
-            h for h in hexagons(tiling) if {t.pair for t in h.tiles} == wanted
-        ]
-    if not candidates:
-        raise ValueError("the given tiles do not form a hexagon of this tiling")
-    return candidates[0]
-
-
-def flip(tiling: Tiling, hexagon) -> tuple[Tiling, WordMove]:
-    """Flip the tiling at a hexagon; returns the new tiling and the braid move.
-
-    The move applies at a word generating the input tiling, reached from the
-    anchor by commutation moves alone: words.expose_hexagon brings the three
-    hexagon tiles of the anchor together.  The returned tiling is
-    anchored to the braided word, so applying the same move to its anchor
-    recovers that word.  Flipping twice restores the tile set.
-    """
-    hexagon = _as_hexagon(tiling, hexagon)
-    word = tiling.word
-    order = convex_order(word)
-    exposed = expose_hexagon(word, *sorted(order.index(t.pair) for t in hexagon.tiles))
-    if exposed is None:
-        raise AssertionError(f"hexagon tiles of {word} do not close up")
-    moved, p = exposed
-    move = WordMove("braid", p + 1)
-    new_tiling = build_tiling(apply_move(moved, move))
-    expected = (set(tiling.tiles) - set(hexagon.tiles)) | set(hexagon.flipped_tiles())
-    if set(new_tiling.tiles) != expected:
-        raise AssertionError(f"flipping {word} at {hexagon.support} gives other tiles")
-    return new_tiling, move
 
 
 def maximal_crossing_path(tiling: Tiling, a: int, dual: bool = False) -> tuple[Tile, ...]:

@@ -13,11 +13,9 @@ from itertools import product
 
 from .bz import bz_crystal_f, bz_from_lusztig
 from .crossings import (
-    _crossings,
-    _table,
+    crossing_table,
     crystal_op,
     dual_crystal_op,
-    enumerate_crossings,
     generate_hw_crystal,
     weyl_dimension,
 )
@@ -44,7 +42,7 @@ __all__ = [
 
 def lattice_failures(tiling, a, dual=False) -> list:
     """Pairs without a unique bound, and bounds leaving the Reineke subset."""
-    rows = _table(tiling, a, dual)
+    rows = crossing_table(tiling, a, dual)
     up = [row.up for row in rows]
     down = [frozenset(i for i, above in enumerate(up) if k in above) for k in range(len(rows))]
     fails = []
@@ -65,7 +63,7 @@ def reselection_failures(word, a, dual=False) -> list:
     word = tuple(word)
     op = dual_crystal_op if dual else crystal_op
     fails = []
-    for row in _table(build_tiling(word), a, dual):
+    for row in crossing_table(build_tiling(word), a, dual):
         if not row.reineke:
             continue
         x = LusztigDatum(word, tuple(max(0, -v) for v in row.rvec))
@@ -80,11 +78,11 @@ def mirror_failures(word, a) -> list:
     side lacks, as (tile pairs, strips); the tiles of w* carry the same pairs."""
     word = tuple(word)
 
-    def keys(crossings):
-        return {(tuple(t.pair for t in c.tiles), c.strips) for c in crossings}
+    def keys(rows):
+        return {(tuple(t.pair for t in row.crossing.tiles), row.crossing.strips) for row in rows}
 
-    ours = keys(enumerate_crossings(build_tiling(word), a, True))
-    theirs = keys(_crossings(build_tiling(star_word(word)), a, False))
+    ours = keys(crossing_table(build_tiling(word), a, True))
+    theirs = keys(crossing_table(build_tiling(star_word(word)), a, False))
     return [("dual only", a, *k) for k in sorted(ours - theirs)] + [
         ("mirror only", a, *k) for k in sorted(theirs - ours)
     ]
@@ -206,19 +204,36 @@ def _bk(n, seed, rng):
     return 12 * len(words), bad
 
 
+def _word_lattice_failures(word):
+    tiling = build_tiling(word)
+    fails = []
+    for a in range(1, tiling.n):
+        for dual in (False, True):
+            fails += lattice_failures(tiling, a, dual) + reselection_failures(word, a, dual)
+            if dual:
+                fails += mirror_failures(word, a)
+    return fails
+
+
 def _lattice(n, seed, rng):
-    """Order structure of the crossings and highest-weight crystal sizes."""
+    """Order structure of the crossings and highest-weight crystal sizes.
+
+    A word's mirror check reads the primal tables of its star word, so a
+    word later in the enumeration than its star word is checked right after
+    it, while those tables are cached; witnesses still come in word order.
+    """
     words = enumerate_reduced_words(n)
     weights = list(product(range(2), repeat=n - 1))
     bad = []
+    ahead = {}
     for w in words:
-        tiling = build_tiling(w)
-        for a in range(1, n):
-            for dual in (False, True):
-                fails = lattice_failures(tiling, a, dual) + reselection_failures(w, a, dual)
-                if dual:
-                    fails += mirror_failures(w, a)
-                bad.extend({"word": list(w), "where": f} for f in fails)
+        fails = ahead.pop(w, None)
+        if fails is None:
+            fails = _word_lattice_failures(w)
+            star = star_word(w)
+            if star > w:
+                ahead[star] = _word_lattice_failures(star)
+        bad.extend({"word": list(w), "where": f} for f in fails)
     for lam in weights:
         size = len(generate_hw_crystal(lam, words[0]))
         want = weyl_dimension(lam)

@@ -1,4 +1,4 @@
-"""Reduced words for the longest permutation and the moves connecting them.
+"""Reduced words for the longest permutation and the hexagon flips joining them.
 
 Permutations of [n] = {1, ..., n} are stored in one-line notation as tuples
 ``(w(1), ..., w(n))``.  A word ``(i_1, ..., i_k)`` denotes the product
@@ -11,26 +11,21 @@ Any two reduced words for w0 are connected by commutation moves
 (swap adjacent letters a, b with |a-b| >= 2) and braid moves
 (replace a, b, a by b, a, b for |a-b| = 1).
 
-This module owns the moves.  braid_steps builds the hexagon flips that
-every transition map, lift and mutation walks along directly: one flip per
-triple s < t < u whose roots (s,t), (t,u) come in opposite orders in the
-two words, at most C(n, 3) flips, with no search over the words of the
-rank.  expose_hexagon brings a hexagon's three letters together by
-commutation moves, for braid_steps and tiling.flip alike.  move_path finds
-a shortest move sequence by breadth-first search over every reduced word,
-which is feasible for n <= 5 only.
+braid_steps is the one place flip paths are built: every transition map,
+lift and mutation walks its hexagon flips, one per triple s < t < u whose
+roots (s,t), (t,u) come in opposite orders in the two words, at most
+C(n, 3) flips, with no search over the words of the rank.  expose_hexagon
+brings a hexagon's three letters together by commutation moves for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
     "MAX_ENUM_RANK",
     "MAX_ENUM_WORDS",
-    "WordMove",
     "identity",
     "longest_element",
     "compose",
@@ -42,9 +37,6 @@ __all__ = [
     "enumerate_reduced_words",
     "count_reduced_words",
     "too_many_words",
-    "applicable_moves",
-    "apply_move",
-    "move_path",
     "expose_hexagon",
     "braid_steps",
     "prefix_permutations",
@@ -165,55 +157,6 @@ def is_reduced_word(word, n: int) -> bool:
     return permutation_of_word(word, n) == longest_element(n)
 
 
-@dataclass(frozen=True, order=True)
-class WordMove:
-    """A local rewrite at a 1-based position of a word.
-
-    kind 'commutation' swaps letters at positions (position, position+1);
-    kind 'braid' rewrites (a, b, a) -> (b, a, b) at positions
-    (position, position+1, position+2).  Both are involutive.
-    """
-
-    kind: str
-    position: int
-
-    def __post_init__(self):
-        if self.kind not in ("commutation", "braid"):
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        if self.position < 1:
-            raise ValueError("positions are 1-based")
-
-
-def applicable_moves(word: Word) -> tuple[WordMove, ...]:
-    """All moves applicable to word, sorted by (position, kind)."""
-    moves = []
-    for p in range(len(word) - 1):
-        if abs(word[p] - word[p + 1]) >= 2:
-            moves.append(WordMove("commutation", p + 1))
-    for p in range(len(word) - 2):
-        if word[p] == word[p + 2] and abs(word[p] - word[p + 1]) == 1:
-            moves.append(WordMove("braid", p + 1))
-    return tuple(sorted(moves, key=lambda m: (m.position, m.kind)))
-
-
-def apply_move(word: Word, move: WordMove) -> Word:
-    """Apply a commutation or braid move; ValueError if not applicable there.
-
-    >>> apply_move((2, 1, 2), WordMove("braid", 1))
-    (1, 2, 1)
-    """
-    word = tuple(word)
-    p = move.position - 1
-    if move.kind == "commutation":
-        if p + 1 >= len(word) or abs(word[p] - word[p + 1]) < 2:
-            raise ValueError(f"no commutation applies at position {move.position}")
-        return word[:p] + (word[p + 1], word[p]) + word[p + 2:]
-    if p + 2 >= len(word) or word[p] != word[p + 2] or abs(word[p] - word[p + 1]) != 1:
-        raise ValueError(f"no braid move applies at position {move.position}")
-    a, b = word[p], word[p + 1]
-    return word[:p] + (b, a, b) + word[p + 3:]
-
-
 @lru_cache(maxsize=None)
 def enumerate_reduced_words(n: int) -> tuple[Word, ...]:
     """All reduced words for w0 in S_n, sorted lexicographically.
@@ -222,7 +165,8 @@ def enumerate_reduced_words(n: int) -> tuple[Word, ...]:
     weak order: each letter a is an ascent w(a) < w(a+1) of the prefix
     permutation w.  The depth-first walk tries the ascents in increasing
     order, so it lists the words lexicographically.  Refuses ranks with
-    more than MAX_ENUM_WORDS words.
+    more than MAX_ENUM_WORDS words.  The cache is keyed by n alone, so it
+    stays unbounded: it holds one list per rank asked for.
     """
     if n < 2:
         raise ValueError("rank must be at least 2")
@@ -261,57 +205,6 @@ def too_many_words(n: int, limit: int = MAX_ENUM_WORDS) -> bool:
     """count_reduced_words(n) > limit.  The count grows with n, so ranks are
     tried upwards and no count past the first one over the limit is computed."""
     return any(count_reduced_words(k) > limit for k in range(2, n + 1))
-
-
-@lru_cache(maxsize=16)
-def _move_tree(root: Word) -> dict[Word, tuple[Word, WordMove] | None]:
-    """BFS predecessor tree of the move graph rooted at root.
-
-    Neighbours are explored in sorted move order, so shortest paths extracted
-    from the tree are deterministic.  A tree holds every word of the rank, so
-    only the 16 most recently used trees stay cached.
-    """
-    tree: dict[Word, tuple[Word, WordMove] | None] = {root: None}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for mv in applicable_moves(w):
-                u = apply_move(w, mv)
-                if u not in tree:
-                    tree[u] = (w, mv)
-                    nxt.append(u)
-        frontier = nxt
-    return tree
-
-
-def move_path(i: Word, j: Word) -> tuple[WordMove, ...]:
-    """A shortest move sequence transforming word i into word j.
-
-    Ties are broken deterministically (breadth-first order with moves sorted
-    by position).  ValueError if the words are not reduced words for the same
-    longest element.
-
-    >>> move_path((2, 1, 2), (1, 2, 1))
-    (WordMove(kind='braid', position=1),)
-    """
-    i, j = tuple(i), tuple(j)
-    n = rank_of_word(i)
-    if rank_of_word(j) != n:
-        raise ValueError("words have different ranks")
-    for w in (i, j):
-        if not is_reduced_word(w, n):
-            raise ValueError(f"{w} is not a reduced word for w0")
-    tree = _move_tree(i)
-    if j not in tree:
-        raise ValueError("words are not connected by moves")  # unreachable
-    path = []
-    cur = j
-    while tree[cur] is not None:
-        prev, mv = tree[cur]
-        path.append(mv)
-        cur = prev
-    return tuple(reversed(path))
 
 
 def expose_hexagon(word: Word, first: int, mid: int, last: int) -> tuple[Word, int] | None:
@@ -380,9 +273,8 @@ def braid_steps(i: Word, j: Word) -> tuple:
     orientation differs between i and j (the set D) must each flip once.
     While D is not empty, the first triple of D whose three roots form a
     hexagon of the current word's heap is brought together by
-    expose_hexagon (the helper tiling.flip also uses) and braided.  The path
-    has exactly |D| <= C(n, 3) flips; AssertionError if no triple of D forms
-    a hexagon.
+    expose_hexagon and braided.  The path has exactly |D| <= C(n, 3) flips;
+    AssertionError if no triple of D forms a hexagon.
 
     With w the prefix permutation in front of the braid (a, b, a), the
     hexagon has left form iff a < b, and its interior vertex is w s_a([a])
@@ -416,8 +308,8 @@ def braid_steps(i: Word, j: Word) -> tuple:
             raise AssertionError(f"no hexagon of {cur} flips a triple toward {j}")
         todo.remove(triple)
         before, p = exposed
-        after = apply_move(before, WordMove("braid", p + 1))
         a, b = before[p], before[p + 1]
+        after = before[:p] + (b, a, b) + before[p + 3 :]
         w = permutation_of_word(before[:p], n)
         inner = tuple(sorted(_right_multiply(w, a)[:a]))
         ninner = tuple(sorted(_right_multiply(w, b)[:b]))

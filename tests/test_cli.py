@@ -200,6 +200,63 @@ def test_verify_n4_golden(suite, mode, capsys):
     assert out.splitlines() == [VERIFY_N4[suite]]
 
 
+CROSSINGS_GOLDEN = {
+    "crossings --word 1,2,3,1,2,1": (
+        '{"a": null, "crossings": [{"dual": false, "reineke": true, "rvec": [1, 0, 0, 0, 0, '
+        '0], "strips": [1, 2], "tiles": [[1, 2]]}, {"dual": false, "reineke": true, '
+        '"rvec": [-1, 1, 0, 0, 0, 0], "strips": [2, 1, 3], "tiles": [[1, 2], [1, 3]]}, '
+        '{"dual": false, "reineke": true, "rvec": [0, 0, 0, 1, 0, 0], "strips": [2, 3], '
+        '"tiles": [[1, 2], [2, 3], [1, 3]]}, {"dual": false, "reineke": true, "rvec": [0, -1, '
+        '1, 0, 0, 0], "strips": [3, 1, 4], "tiles": [[1, 3], [1, 4]]}, {"dual": false, '
+        '"reineke": true, "rvec": [0, 0, 0, -1, 1, 0], "strips": [3, 2, 4], "tiles": [[1, 3], '
+        '[2, 3], [2, 4], [1, 4]]}, {"dual": false, "reineke": true, "rvec": [0, 0, 0, 0, 0, '
+        '1], "strips": [3, 4], "tiles": [[1, 3], [2, 3], [3, 4], [2, 4], [1, 4]]}], '
+        '"dual": false, "reineke_vectors": [[-1, 1, 0, 0, 0, 0], [0, -1, 1, 0, 0, 0], [0, 0, '
+        '0, -1, 1, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0], [1, 0, 0, 0, 0, 0]], '
+        '"word": [1, 2, 3, 1, 2, 1]}'
+    ),
+    "crossings --word 1,2,3,1,2,1 --dual": (
+        '{"a": null, "crossings": [{"dual": true, "reineke": true, "rvec": [0, 0, 1, 0, -1, '
+        '0], "strips": [1, 4, 2], "tiles": [[1, 4], [2, 4]]}, {"dual": true, "reineke": true, '
+        '"rvec": [0, 1, 0, -1, 0, 0], "strips": [1, 3, 2], "tiles": [[1, 4], [1, 3], [2, 3], '
+        '[2, 4]]}, {"dual": true, "reineke": true, "rvec": [1, 0, 0, 0, 0, 0], "strips": [1, '
+        '2], "tiles": [[1, 4], [1, 3], [1, 2], [2, 3], [2, 4]]}, {"dual": true, '
+        '"reineke": true, "rvec": [0, 0, 0, 0, 1, -1], "strips": [2, 4, 3], "tiles": [[2, 4], '
+        '[3, 4]]}, {"dual": true, "reineke": true, "rvec": [0, 0, 0, 1, 0, 0], "strips": [2, '
+        '3], "tiles": [[2, 4], [2, 3], [3, 4]]}, {"dual": true, "reineke": true, "rvec": [0, '
+        '0, 0, 0, 0, 1], "strips": [3, 4], "tiles": [[3, 4]]}], "dual": true, '
+        '"reineke_vectors": [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, -1], [0, 0, 0, 1, 0, 0], [0, '
+        '0, 1, 0, -1, 0], [0, 1, 0, -1, 0, 0], [1, 0, 0, 0, 0, 0]], "word": [1, 2, 3, 1, 2, '
+        '1]}'
+    ),
+    "crossings --word 2,1,2,3,4,3,2,1,3,2 --a 2 --dual": (
+        '{"a": 2, "crossings": [{"dual": true, "reineke": true, "rvec": [0, 0, 0, 0, 0, 0, 0, '
+        '0, 1, -1], "strips": [2, 4, 3], "tiles": [[2, 4], [3, 4]]}, {"dual": true, '
+        '"reineke": true, "rvec": [0, 0, 0, 0, 0, 0, 1, -1, 0, 0], "strips": [2, 5, 3], '
+        '"tiles": [[2, 4], [2, 5], [3, 5], [3, 4]]}, {"dual": true, "reineke": true, '
+        '"rvec": [0, 1, -1, 0, 0, 0, 0, 0, 0, 0], "strips": [2, 1, 3], "tiles": [[2, 4], [2, '
+        '5], [1, 2], [1, 3], [3, 5], [3, 4]]}, {"dual": true, "reineke": true, "rvec": [1, 0, '
+        '0, 0, 0, 0, 0, 0, 0, 0], "strips": [2, 3], "tiles": [[2, 4], [2, 5], [1, 2], [2, 3], '
+        '[1, 3], [3, 5], [3, 4]]}], "dual": true, "reineke_vectors": [[0, 0, 0, 0, 0, 0, 0, 0, '
+        '0, 1], [0, 0, 0, 0, 0, 0, 0, 0, 1, -1], [0, 0, 0, 0, 0, 0, 0, 1, 0, -1], [0, 0, 0, 0, '
+        '0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 0, -1, 0], [0, 0, 0, 0, 0, 1, 0, 0, 0, 0], '
+        '[0, 0, 0, 0, 1, -1, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0, 0, 0, -1, 0], [0, 0, 0, 1, 0, 1, '
+        '-1, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 1, -1, 0, 0, 0, 0, 0, 0, 0], [1, 0, '
+        '0, 0, 0, 0, 0, 0, 0, 0]], "word": [2, 1, 2, 3, 4, 3, 2, 1, 3, 2]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["in-process", "optimized"])
+@pytest.mark.parametrize("argv", sorted(CROSSINGS_GOLDEN))
+def test_crossings_golden(argv, mode, capsys):
+    """Reports printed while the command still read each crossing's rvec and
+    Reineke flag through per-crossing lookups, before it read table rows."""
+    code, out = run_in_mode(mode, capsys, argv.split())
+    assert code == 0
+    assert out.splitlines() == [CROSSINGS_GOLDEN[argv]]
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["crystal", "--op", "q", "--a", "1", "--datum", "0", "--word", "1"])

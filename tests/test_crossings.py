@@ -13,15 +13,12 @@ from hypothesis import strategies as st
 import crystaltiles
 from crystaltiles import crossings, verify
 from crystaltiles.crossings import (
-    crossing_form,
-    crossing_rvec,
+    crossing_table,
     crystal_op,
     dual_crystal_op,
-    enumerate_crossings,
     generate_hw_crystal,
     hw_membership,
     is_reineke,
-    poset_leq,
     reineke_vectors,
 )
 from crystaltiles.lusztig import LusztigDatum, oracle_op, oracle_star_op, star_datum
@@ -49,9 +46,9 @@ def test_dual_reineke_vectors_example():
 def test_running_crossing_example(running_tiling):
     want = ((2, 3), (1, 3), (1, 2), (2, 5), (2, 4), (4, 5), (1, 4))
     match = [
-        c
-        for c in enumerate_crossings(running_tiling, 3)
-        if tuple(t.pair for t in c.tiles) == want
+        row.crossing
+        for row in crossing_table(running_tiling, 3)
+        if tuple(t.pair for t in row.crossing.tiles) == want
     ]
     assert len(match) == 1
     assert match[0].strips == (3, 1, 2, 4)
@@ -61,8 +58,8 @@ def test_crossing_rvec_entries(running_tiling):
     order = convex_order(running_tiling.word)
     for a in range(1, 5):
         for dual in (False, True):
-            for c in enumerate_crossings(running_tiling, a, dual):
-                r = crossing_rvec(c)
+            for row in crossing_table(running_tiling, a, dual):
+                r = row.rvec
                 assert set(r) <= {-1, 0, 1}
                 acc = [0] * 4
                 for pair, v in zip(order, r):
@@ -72,30 +69,50 @@ def test_crossing_rvec_entries(running_tiling):
 
 
 def test_poset_leq_is_partial_order(running_tiling):
+    """The up-sets of a table, read as i <= j iff j in rows[i].up, form a
+    partial order on the rows, which come sorted by length, then tile pairs."""
     for a in (1, 3):
-        cs = sorted(
-            enumerate_crossings(running_tiling, a),
-            key=lambda c: (len(c.tiles), tuple(t.pair for t in c.tiles)),
-        )
-        for c in cs:
-            assert poset_leq(c, c)
-            for d in cs:
-                if poset_leq(c, d) and poset_leq(d, c):
-                    assert c == d
-                for e in cs:
-                    if poset_leq(c, d) and poset_leq(d, e):
-                        assert poset_leq(c, e)
+        rows = crossing_table(running_tiling, a)
+        paths = [tuple(t.pair for t in row.crossing.tiles) for row in rows]
+        assert paths == sorted(paths, key=lambda p: (len(p), p))
+
+        def leq(i, j):
+            return j in rows[i].up
+
+        for i in range(len(rows)):
+            assert leq(i, i)
+            for j in range(len(rows)):
+                if leq(i, j) and leq(j, i):
+                    assert i == j
+                for k in range(len(rows)):
+                    if leq(i, j) and leq(j, k):
+                        assert leq(i, k)
 
 
 def test_reineke_crossings_exist(running_tiling):
     for a in range(1, 5):
-        assert any(is_reineke(c) for c in enumerate_crossings(running_tiling, a))
+        assert any(is_reineke(row.crossing) for row in crossing_table(running_tiling, a))
+
+
+def _form_by_definition(c, a, x):
+    """The crossing's linear form as the crossings module docstring defines
+    it: + x_T where eps-bar_a(T) = 1, - x_T where eps-bar_a(T) = -1 and T is
+    not a strip-change tile [s_i, s_{i+1}] of the strip sequence."""
+    value = dict(zip(convex_order(x.word), x.values))
+    changes = {(min(s, t), max(s, t)) for s, t in zip(c.strips, c.strips[1:])}
+    form = 0
+    for s, t in (tile.pair for tile in c.tiles):
+        if s <= a < t:
+            form += value[(s, t)]
+        elif (s, t) not in changes:
+            form -= value[(s, t)]
+    return form
 
 
 def test_crossing_form_vs_eps():
     x = LusztigDatum((2, 1, 2), (3, 1, 2))
     tiling = build_tiling((2, 1, 2))
-    forms = [crossing_form(c, x) for c in enumerate_crossings(tiling, 1)]
+    forms = [_form_by_definition(row.crossing, 1, x) for row in crossing_table(tiling, 1)]
     assert max(forms) == crystal_op("eps", 1, x)
     rng = random.Random("crossing-form")
     for word in WORDS4:
@@ -104,7 +121,10 @@ def test_crossing_form_vs_eps():
             x = LusztigDatum(word, tuple(rng.randint(0, 3) for _ in word))
             for a in range(1, 4):
                 for dual, op in ((False, crystal_op), (True, dual_crystal_op)):
-                    forms = [crossing_form(c, x) for c in enumerate_crossings(tiling, a, dual)]
+                    forms = [
+                        _form_by_definition(row.crossing, a, x)
+                        for row in crossing_table(tiling, a, dual)
+                    ]
                     assert max(forms) == op("eps", a, x), (word, x, a, dual)
 
 
@@ -123,10 +143,10 @@ def test_reselection_example():
     tiling = build_tiling(word)
     for a in (1, 2):
         for dual in (False, True):
-            for c in enumerate_crossings(tiling, a, dual):
-                if not is_reineke(c):
+            for row in crossing_table(tiling, a, dual):
+                if not row.reineke:
                     continue
-                r = crossing_rvec(c)
+                r = row.rvec
                 x = LusztigDatum(word, tuple(max(0, -v) for v in r))
                 op = dual_crystal_op if dual else crystal_op
                 y = op("f", a, x)
@@ -184,10 +204,17 @@ def test_dual_crossings_mirror_the_star_word():
 
 
 def test_mirror_failures_report_a_lost_crossing(monkeypatch):
-    real = verify._crossings
-    monkeypatch.setattr(verify, "_crossings", lambda *args: real(*args)[:-1])
+    """Drop the last row of every primal table that verify reads: the mirror
+    check must report the dual crossing that the star word then lacks."""
+    real = verify.crossing_table
+
+    def without_last_primal_row(tiling, a, dual):
+        rows = real(tiling, a, dual)
+        return rows if dual else rows[:-1]
+
+    monkeypatch.setattr(verify, "crossing_table", without_last_primal_row)
     word = (1, 2, 1, 3, 2, 1)
-    lost = enumerate_crossings(build_tiling(word), 2, True)[-1]
+    lost = crossing_table(build_tiling(word), 2, True)[-1].crossing
     assert mirror_failures(word, 2) == [
         ("dual only", 2, tuple(t.pair for t in lost.tiles), lost.strips)
     ]
@@ -196,7 +223,7 @@ def test_mirror_failures_report_a_lost_crossing(monkeypatch):
 def test_operators_build_only_their_own_tiling():
     """The operators on both sides of one datum build T(w) and no other tiling."""
     build_tiling.cache_clear()
-    crossings._table.cache_clear()
+    crossings.crossing_table.cache_clear()
     x = LusztigDatum((1, 2, 1, 3, 2, 1, 4, 3, 2, 1), (1, 0, 2, 0, 1, 3, 0, 1, 2, 0))
     for a in range(1, 5):
         for kind in ("f", "e", "eps"):
@@ -283,16 +310,19 @@ def test_hw_crystal_search_stops_past_the_weyl_dimension():
 def _reference_lattice_failures(tiling, a, dual, dropped=None):
     """The lattice check as it stood before crossings became table indices:
     a dict over pairs of Crossing objects, here with the closure order read
-    straight from tiling.closure_tiles.  `dropped` names one pair to take
-    out of the order."""
-    cs = enumerate_crossings(tiling, a, dual)
+    straight from tiling.closure_tiles and compared with the up-sets of the
+    table rows.  `dropped` names one pair to take out of the order."""
+    rows = crossing_table(tiling, a, dual)
+    cs = [row.crossing for row in rows]
     closure = {c: closure_tiles(tiling, c.tiles, a, dual) for c in cs}
 
     def below(c, d):
         return closure[c] <= closure[d] and closure[c] - set(c.tiles) <= closure[d] - set(d.tiles)
 
     leq = {(c, d): below(c, d) for c in cs for d in cs}
-    assert all(poset_leq(c, d) == v for (c, d), v in leq.items())
+    assert all(
+        (j in rows[i].up) == leq[c, d] for i, c in enumerate(cs) for j, d in enumerate(cs)
+    )
     if dropped is not None:
         leq[dropped] = False
     geq = {(c, d): v for (d, c), v in leq.items()}
@@ -326,17 +356,29 @@ def test_lattice_failures_catch_a_dropped_relation(monkeypatch, running_tiling):
     the meet of bottom and j away, reports a missing bound."""
     for a in range(1, 5):
         for dual in (False, True):
-            real = verify._table(running_tiling, a, dual)
+            real = crossing_table(running_tiling, a, dual)
             assert lattice_failures(running_tiling, a, dual) == []
             bottom = next(k for k, row in enumerate(real) if len(row.up) == len(real))
             for i, row in enumerate(real):
                 for j in row.up - {i}:
                     rows = list(real)
                     rows[i] = row._replace(up=row.up - {j})
-                    monkeypatch.setattr(verify, "_table", lambda *args, rows=rows: tuple(rows))
+                    monkeypatch.setattr(
+                        verify, "crossing_table", lambda *args, rows=rows: tuple(rows)
+                    )
                     got = lattice_failures(running_tiling, a, dual)
                     dropped = (real[i].crossing, real[j].crossing)
                     assert got == _reference_lattice_failures(running_tiling, a, dual, dropped)
                     if i == bottom:
                         assert ("missing bound", a, dual) in got
             monkeypatch.undo()
+
+
+def test_lattice_suite_reports_witnesses_in_word_order(monkeypatch):
+    """The suite checks a word right after its star word when the star word
+    comes first, but reports one failure per word in enumeration order."""
+    monkeypatch.setattr(verify, "mirror_failures", lambda word, a: [("marked", a)] if a == 1 else [])
+    (report,) = verify.run("lattice", 4)
+    words = enumerate_reduced_words(4)
+    assert report["counterexamples"] == len(words)
+    assert [w["word"] for w in report["witnesses"]] == [list(w) for w in words[:10]]

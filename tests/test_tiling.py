@@ -6,20 +6,21 @@ import random
 import pytest
 
 from conftest import RUNNING_KAPPA_3, RUNNING_KAPPA_5, RUNNING_TILES
-from crystaltiles.crossings import enumerate_crossings
+from crystaltiles.bz import _vertex_solver
+from crystaltiles.crossings import crossing_table
+from crystaltiles.strings import string_cone
 from crystaltiles.tiling import (
     Tile,
     build_tiling,
     closure_tiles,
     comb,
-    flip,
-    hexagons,
     kappa_partition,
     maximal_crossing_path,
     render_svg,
     strip,
 )
-from crystaltiles.words import apply_move, enumerate_reduced_words
+from crystaltiles.words import braid_steps, enumerate_reduced_words, rank_of_word
+from movegraph import hexagons
 from test_paths import weak_order_word
 
 
@@ -90,26 +91,9 @@ def test_strip_running_example(running_tiling):
 
 
 def test_flip_paper_example():
-    tiling = build_tiling((1, 2, 3, 1, 2, 1))
-    target = [(2, 3), (2, 4), (3, 4)]
-    hexagon = next(
-        h for h in hexagons(tiling) if sorted(t.pair for t in h.tiles) == target
-    )
-    flipped, move = flip(tiling, hexagon)
-    assert flipped.word == (1, 2, 3, 2, 1, 2)
-    assert apply_move(tiling.word, move) == flipped.word
-
-
-def test_flip_is_involution():
-    tiling = build_tiling((2, 1, 2))
-    (hexagon,) = hexagons(tiling)
-    flipped, _ = flip(tiling, hexagon)
-    assert flipped.word == (1, 2, 1)
-    back, _ = flip(flipped, hexagons(flipped)[0])
-    assert {t.pair for t in back.tiles} == {t.pair for t in tiling.tiles}
-    assert {(t.pair, t.base) for t in back.tiles} == {
-        (t.pair, t.base) for t in tiling.tiles
-    }
+    steps = braid_steps((1, 2, 3, 1, 2, 1), (1, 2, 3, 2, 1, 2))
+    assert [pairs for pairs, *_ in steps] == [((2, 3), (2, 4), (3, 4))]
+    assert steps[0][4:] == ((1, 2, 3, 1, 2, 1), (1, 2, 3, 2, 1, 2))
 
 
 def test_maximal_crossing_path(running_tiling):
@@ -185,7 +169,7 @@ def test_closure_tiles_match_ray_casting(running_tiling):
     for tiling in tilings + [running_tiling]:
         for a in range(1, tiling.n):
             for dual in (False, True):
-                for c in enumerate_crossings(tiling, a, dual):
+                for c in (row.crossing for row in crossing_table(tiling, a, dual)):
                     got = closure_tiles(tiling, c.tiles, a, dual)
                     assert got == _ray_casting_closure(tiling, c.tiles, a, dual), c
                     checked += 1
@@ -198,6 +182,19 @@ def test_comb(running_tiling):
         assert tiles
 
 
+def test_per_word_caches_are_bounded():
+    """1100 distinct n = 6 tilings leave at most 1024 in the cache; the string
+    cones and BZ vertex solvers, also keyed by word, share that bound."""
+    rng = random.Random("tiling-cache")
+    words = set()
+    while len(words) < 1100:
+        words.add(weak_order_word(6, rng))
+    for word in sorted(words):
+        build_tiling(word)
+    assert build_tiling.cache_info().currsize <= 1024
+    assert string_cone.cache_info().maxsize == _vertex_solver.cache_info().maxsize == 1024
+
+
 def test_render_svg_smoke(running_tiling):
     svg = render_svg(running_tiling, {"highlight": [(2, 3)], "vertex_labels": True})
     assert svg.startswith("<svg")
@@ -205,16 +202,27 @@ def test_render_svg_smoke(running_tiling):
     assert "polygon" in svg
 
 
-@pytest.mark.parametrize("word", enumerate_reduced_words(4))
+def _interior_vertex(tiles):
+    (vertex,) = set.intersection(*(set(tile.vertices) for tile in tiles))
+    return vertex
+
+
+# The n = 4 words come first, so that the test id of an n = 4 word does not
+# depend on the n = 3 words.
+@pytest.mark.parametrize("word", [*enumerate_reduced_words(4), *enumerate_reduced_words(3)])
 def test_hexagons_match_braid_moves(word):
-    tiling = build_tiling(word)
-    braids = [
-        p
-        for p in range(len(word) - 2)
-        if word[p] == word[p + 2] and abs(word[p] - word[p + 1]) == 1
-    ]
-    assert len(hexagons(tiling)) >= (1 if braids else 0)
-    for h in hexagons(tiling):
-        flipped, mv = flip(tiling, h)
-        assert set(flipped.tiles) == (set(tiling.tiles) - set(h.tiles)) | set(h.flipped_tiles())
-        assert set(build_tiling(apply_move(flipped.word, mv)).tiles) == set(tiling.tiles)
+    """Every step of braid_steps(word, j), for every j of the same rank, flips
+    a hexagon of the tiles found by movegraph.hexagons: the tiles after are
+    the tiles before with the hexagon's three tiles swapped to the other
+    form, flipping back restores them, and the hexagon's interior vertex is
+    the step's inner (ninner after the flip)."""
+    for j in enumerate_reduced_words(rank_of_word(word)):
+        for ((s, t), _, (_, u)), left_form, inner, ninner, before, after in braid_steps(word, j):
+            tiles, flipped = set(build_tiling(before).tiles), set(build_tiling(after).tiles)
+            (h,) = [h for h in hexagons(build_tiling(before)) if h.support == (s, t, u)]
+            assert h.left_form == left_form
+            assert flipped == (tiles - set(h.tiles)) | set(h.flipped_tiles())
+            (back,) = [g for g in hexagons(build_tiling(after)) if g.support == h.support]
+            assert (flipped - set(back.tiles)) | set(back.flipped_tiles()) == tiles
+            assert _interior_vertex(h.tiles) == inner
+            assert _interior_vertex(back.tiles) == ninner

@@ -1,4 +1,4 @@
-"""Words, moves, convex orders."""
+"""Words, moves (through the test-side move graph), convex orders, flip paths."""
 
 import pytest
 from hypothesis import given
@@ -8,8 +8,6 @@ from crystaltiles.crossings import crystal_op
 from crystaltiles.lusztig import LusztigDatum
 from crystaltiles.tiling import build_tiling
 from crystaltiles.words import (
-    applicable_moves,
-    apply_move,
     braid_steps,
     compose,
     convex_order,
@@ -20,7 +18,6 @@ from crystaltiles.words import (
     is_reduced_word,
     length,
     longest_element,
-    move_path,
     num_positive_roots,
     permutation_of_word,
     prefix_permutations,
@@ -28,6 +25,7 @@ from crystaltiles.words import (
     star_word,
     too_many_words,
 )
+from movegraph import applicable_moves, apply_move, move_path
 
 
 def test_longest_element_reverses():
