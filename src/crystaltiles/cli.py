@@ -336,6 +336,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# cone --polar-check meets each of the (box + 1)^N points of its box, and the
+# string recursion raises each one by e up to box times at its first letter,
+# so its work grows like (box + 1)^(N + 1).  The budget is that of n = 5 at
+# box 3; the slowest accepted inputs, n = 2 at box 2047 and n = 3 at box 44,
+# took 11 s and 1.7 s on a 2-core x86-64 box.
+POLAR_CHECK_BUDGET = 4**11
+
+
 def _usage_problem(args) -> str | None:
     """Why the parsed arguments cannot run, or None when they can."""
     cmd = args.command
@@ -372,6 +380,15 @@ def _usage_problem(args) -> str | None:
             return f"--{flag} must lie in 1..{n - 1}"
     if getattr(args, "box", 0) < 0:
         return "--box must be nonnegative"
+    if cmd == "cone" and n > MAX_ENUM_RANK:
+        return f"cone --polar-check needs n <= {MAX_ENUM_RANK}"
+    if cmd == "cone":
+        side, power = args.box + 1, len(word) + 1
+        if side > POLAR_CHECK_BUDGET or side**power > POLAR_CHECK_BUDGET:
+            return (
+                f"--box {args.box} is too large for a word of length {len(word)}:"
+                f" (box + 1)^{power} exceeds {POLAR_CHECK_BUDGET}"
+            )
     for s, t in getattr(args, "highlight", None) or ():
         if not 1 <= s < t <= n:
             return f"--highlight pair {s}-{t} is not a tile: need 1 <= s < t <= {n}"

@@ -35,6 +35,21 @@ word), or the 12 tables the lattice suite reads per word (its mirror check
 adds the star word's 4 primal tables).  All 6144 tables of n = 5 would take
 about 19 MB.
 
+The operators read a view of each table, compiled on first use per (word,
+a, dual) and cached like the tables: the rows sorted into a linear extension
+of the closure order (by the size of their down-sets), so that row p is bit
+p of an integer, with their (plus, minus) positions, their rvecs, a bitmask
+of the Reineke rows and per-row bitmasks of the up- and down-sets.  The
+selection rule is then bit arithmetic on the mask of maximizers: f takes
+its highest bit and e its lowest, and the checks are that the mask lies in
+the down-set (for f) or up-set (for e) of the selected row, that this row is
+Reineke, that eps is attained on a Reineke row and that the output is
+nonnegative.  Two kernels read the view: _crossing_op on one value tuple,
+behind crystal_op and dual_crystal_op, and batch_op on a list of value
+tuples of one word, which computes forms, maxima, masks and outputs one
+column at a time with map and, when a check fails, replays the data through
+_crossing_op so that it raises what the scalar call raises.
+
 The starred operators are the same formula on the dual tables, with the
 same selection rule: f_a* adds rvec of the order-maximal maximizer and e_a*
 subtracts rvec of the order-minimal one.  Dual crossings ascend kappa_{n+a},
@@ -50,6 +65,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import add, and_, eq, invert, mul, sub
 from typing import NamedTuple
 
 from .lusztig import LusztigDatum
@@ -60,6 +77,7 @@ __all__ = [
     "Crossing",
     "CrossingRow",
     "crossing_table",
+    "batch_op",
     "is_reineke",
     "crystal_op",
     "dual_crystal_op",
@@ -188,17 +206,22 @@ class CrossingRow(NamedTuple):
     up: frozenset[int]  # indices of the rows at or above this one
 
 
-@lru_cache(maxsize=256)
 def crossing_table(tiling: Tiling, a: int, dual: bool = False) -> tuple[CrossingRow, ...]:
     """The (dual) a-crossings of the tiling as indexed rows, in enumeration
     order: by length, then by tile pairs.
 
-    The cache keys a call by its arguments as written, so the package always
-    passes dual positionally and one entry serves each (tiling, a, dual).
+    dual is normalised to a positional bool before the cache, so
+    crossing_table(t, 1), crossing_table(t, 1, False) and
+    crossing_table(t, 1, dual=False) share one entry of _crossing_table.
 
     >>> [row.crossing.strips for row in crossing_table(build_tiling((1, 2, 1)), 1)]
     [(1, 2)]
     """
+    return _crossing_table(tiling, a, bool(dual))
+
+
+@lru_cache(maxsize=256)
+def _crossing_table(tiling: Tiling, a: int, dual: bool) -> tuple[CrossingRow, ...]:
     order = convex_order(tiling.word)
     index = {p: k for k, p in enumerate(order)}
     crossings = _crossings(tiling, a, dual)
@@ -216,8 +239,45 @@ def crossing_table(tiling: Tiling, a: int, dual: bool = False) -> tuple[Crossing
     return tuple(rows)
 
 
-def _form(row: CrossingRow, values: tuple[int, ...]) -> int:
-    return sum(values[i] for i in row.plus) - sum(values[i] for i in row.minus)
+class _View(NamedTuple):
+    """A crossing table compiled for the operators, one bit per row.
+
+    Bit p stands for the row at position p of a linear extension of the
+    closure order, so the rows strictly below a row sit on lower bits.
+    """
+
+    terms: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (plus, minus) per row
+    steps: dict[str, tuple[tuple[int, ...], ...]]  # "f": rvec per row, "e": -rvec
+    reineke: int  # the Reineke rows
+    up: tuple[int, ...]  # per row, the rows at or above it
+    down: tuple[int, ...]  # per row, the rows at or below it
+    crossings: tuple[Crossing, ...]  # per row, for error messages
+
+
+@lru_cache(maxsize=256)
+def _view(word: tuple[int, ...], a: int, dual: bool) -> _View:
+    """The view of crossing_table(build_tiling(word), a, dual), compiled on
+    first use and bounded like the tables.  Rows are sorted by the size of
+    their down-sets, a linear extension: gamma < lambda makes down(gamma) a
+    proper subset of down(lambda)."""
+    rows = crossing_table(build_tiling(word), a, dual)
+    below = [[j for j, other in enumerate(rows) if k in other.up] for k in range(len(rows))]
+    order = sorted(range(len(rows)), key=lambda k: len(below[k]))
+    bit = {k: 1 << p for p, k in enumerate(order)}
+    rvecs = tuple(rows[k].rvec for k in order)
+    return _View(
+        terms=tuple((rows[k].plus, rows[k].minus) for k in order),
+        steps={"f": rvecs, "e": tuple(tuple(-r for r in rv) for rv in rvecs)},
+        reineke=sum(bit[k] for k in order if rows[k].reineke),
+        up=tuple(sum(map(bit.__getitem__, rows[k].up)) for k in order),
+        down=tuple(sum(map(bit.__getitem__, below[k])) for k in order),
+        crossings=tuple(rows[k].crossing for k in order),
+    )
+
+
+def _forms(view: _View, vals: tuple[int, ...]) -> list[int]:
+    get = vals.__getitem__
+    return [sum(map(get, plus)) - sum(map(get, minus)) for plus, minus in view.terms]
 
 
 def crystal_op(kind: str, a: int, x: LusztigDatum):
@@ -232,7 +292,7 @@ def crystal_op(kind: str, a: int, x: LusztigDatum):
     >>> crystal_op("f", 1, LusztigDatum((2, 1, 2), (3, 1, 2))).values
     (2, 2, 2)
     """
-    return _crossing_op(kind, a, x, False)
+    return _as_datum(x.word, _crossing_op(kind, a, x.word, x.values, False))
 
 
 def dual_crystal_op(kind: str, a: int, x: LusztigDatum):
@@ -248,38 +308,120 @@ def dual_crystal_op(kind: str, a: int, x: LusztigDatum):
     >>> dual_crystal_op("f*", 2, LusztigDatum((1, 2, 1), (0, 0, 0))).values
     (0, 0, 1)
     """
-    return _crossing_op(kind.rstrip("*"), a, x, True)
+    return _as_datum(x.word, _crossing_op(kind.rstrip("*"), a, x.word, x.values, True))
 
 
-def _crossing_op(kind: str, a: int, x: LusztigDatum, dual: bool):
-    """The crossing formula on the (dual) a-crossings of x's tiling."""
-    rows = crossing_table(build_tiling(x.word), a, dual)
-    vals = x.values
-    forms = [_form(row, vals) for row in rows]
+def _as_datum(word, res):
+    return LusztigDatum(word, res) if isinstance(res, tuple) else res
+
+
+def _crossing_op(kind: str, a: int, word: tuple[int, ...], vals: tuple[int, ...], dual: bool):
+    """The crossing formula on one value tuple of word: eps_a, or the values
+    of f_a / e_a (None for e_a when eps_a = 0), with every self-check.
+
+    f selects the highest bit of the maximizer mask and e the lowest: the
+    order-extreme maximizer, when it is unique, comes last (first) in every
+    linear extension, and it is unique exactly when every maximizer lies in
+    its down-set (up-set).
+    """
+    view = _view(word, a, dual)
+    forms = _forms(view, vals)
     eps = max(forms)
+    mask = 0
+    for p, form in enumerate(forms):
+        if form == eps:
+            mask |= 1 << p
     if kind == "eps":
-        if not any(f == eps and row.reineke for f, row in zip(forms, rows)):
-            raise AssertionError(f"eps_{a}: maximum not attained on Reineke crossings at {x}")
+        if not mask & view.reineke:
+            raise AssertionError(f"eps_{a}: maximum not attained on Reineke crossings at {vals}")
         return eps
-    argmax = [k for k, f in enumerate(forms) if f == eps]
     if kind == "f":
-        extreme = [k for k in argmax if all(j == k or j not in rows[k].up for j in argmax)]
+        p = mask.bit_length() - 1
+        stray = mask & ~view.down[p]
     elif kind == "e":
         if eps == 0:
             return None
-        extreme = [k for k in argmax if all(j == k or k not in rows[j].up for j in argmax)]
+        p = (mask & -mask).bit_length() - 1
+        stray = mask & ~view.up[p]
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
-    if len(extreme) != 1:
+    if stray:
         raise AssertionError(
-            f"{kind}_{a}: order-extreme maximizer not unique at {x}: "
-            f"{[rows[k].crossing for k in extreme]}"
+            f"{kind}_{a}: order-extreme maximizer not unique at {vals}: "
+            f"{view.crossings[p]} and {view.crossings[stray.bit_length() - 1]}"
         )
-    row = rows[extreme[0]]
-    if not row.reineke:
-        raise AssertionError(f"{kind}_{a}: selected crossing {row.crossing} is not Reineke")
-    sign = 1 if kind == "f" else -1
-    return LusztigDatum(x.word, tuple(v + sign * r for v, r in zip(vals, row.rvec)))
+    if not view.reineke >> p & 1:
+        raise AssertionError(f"{kind}_{a}: selected crossing {view.crossings[p]} is not Reineke")
+    out = tuple(map(add, vals, view.steps[kind][p]))
+    if min(out) < 0:
+        raise AssertionError(f"{kind}_{a}: the crossing formula took {vals} to {out}")
+    return out
+
+
+def batch_op(kind: str, a: int, word: tuple[int, ...], values: list, dual: bool = False) -> list:
+    """_crossing_op on each value tuple of a list, for one word, column-wise.
+
+    Forms, maxima, maximizer masks, selections and outputs each run across
+    all data at once with map.  When a self-check fails, the data are
+    replayed through _crossing_op, so the batch raises what the scalar call
+    raises on the first failing datum.
+
+    >>> batch_op("f", 1, (2, 1, 2), [(3, 1, 2), (0, 0, 0)])
+    [(2, 2, 2), (0, 0, 1)]
+    """
+    if kind not in ("f", "e", "eps"):
+        raise ValueError(f"unknown operator kind {kind!r}")
+    if not values:
+        return []
+    view = _view(word, a, dual)
+    cols = list(zip(*values))
+    forms = []
+    for plus, minus in view.terms:
+        form = _column_sum(cols, plus, len(values))
+        if minus:
+            form = map(sub, form, _column_sum(cols, minus, len(values)))
+        forms.append(list(form))
+    eps = list(map(max, *forms)) if len(forms) > 1 else forms[0]
+    if kind == "e" and not all(eps):
+        out = [None] * len(values)
+        live = [k for k, v in enumerate(eps) if v]
+        for k, y in zip(live, batch_op(kind, a, word, [values[k] for k in live], dual)):
+            out[k] = y
+        return out
+    hits = (map(mul, map(eq, form, eps), repeat(1 << p)) for p, form in enumerate(forms))
+    masks = list(map(sum, zip(*hits)))
+    if kind == "eps":
+        ok = all(map(view.reineke.__and__, masks))
+        return eps if ok else _replay(kind, a, word, values, dual)
+    if kind == "f":
+        sel = [m.bit_length() - 1 for m in masks]
+        bounds = view.down
+    else:
+        sel = [(m & -m).bit_length() - 1 for m in masks]
+        bounds = view.up
+    out = list(map(tuple, map(map, repeat(add), values, map(view.steps[kind].__getitem__, sel))))
+    ok = (
+        not any(map(and_, masks, map(invert, map(bounds.__getitem__, sel))))
+        and all(map(and_, map(view.reineke.__rshift__, sel), repeat(1)))
+        and min(map(min, out)) >= 0
+    )
+    return out if ok else _replay(kind, a, word, values, dual)
+
+
+def _column_sum(cols, idx, size):
+    """The sum of the columns at idx, entry by entry."""
+    if not idx:
+        return repeat(0, size)
+    total = cols[idx[0]]
+    for i in idx[1:]:
+        total = map(add, total, cols[i])
+    return total
+
+
+def _replay(kind, a, word, values, dual):
+    for vals in values:
+        _crossing_op(kind, a, word, vals, dual)
+    raise AssertionError(f"{kind}_{a}: a batch self-check failed where no scalar one does")
 
 
 def reineke_vectors(tiling: Tiling, a: int, dual: bool = False) -> frozenset[tuple[int, ...]]:
@@ -300,11 +442,8 @@ def hw_membership(x: LusztigDatum, lam: tuple[int, ...]) -> bool:
     lam = tuple(lam)
     if len(lam) != n - 1 or any(v < 0 for v in lam):
         raise ValueError("lam must be a dominant weight: n-1 nonnegative integers")
-    tiling = build_tiling(x.word)
     return not any(
-        _form(row, x.values) > lam[a - 1]
-        for a in range(1, n)
-        for row in crossing_table(tiling, a, True)
+        max(_forms(_view(x.word, a, True), x.values)) > lam[a - 1] for a in range(1, n)
     )
 
 

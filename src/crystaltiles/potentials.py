@@ -628,8 +628,11 @@ def _box_points(dim, box, cap, rng):
     if total <= cap:
         yield from product(range(-box, box + 1), repeat=dim)
     else:
+        # the values of rng.randint(-box, box), without its argument checks;
+        # tests/test_potentials.py compares the two draws
+        draw, width = rng._randbelow, 2 * box + 1
         for _ in range(cap):
-            yield tuple(rng.randint(-box, box) for _ in range(dim))
+            yield tuple([draw(width) - box for _ in range(dim)])
 
 
 def _sparse(rows) -> tuple:

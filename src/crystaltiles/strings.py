@@ -15,21 +15,30 @@ s is a string datum iff <r, s> >= 0 for every dual Reineke vector r of the
 word's tiling, coordinates read in the word's root order.
 
 polar_duality_check computes string data for thousands of data of one
-word, and their recursions meet: many data reach the same state (k, values)
+word, a BFS layer at a time: f*_a runs on the whole layer as one
+crossings.batch_op call per letter, and the string recursion runs once over
+all the layer's images.  At each step it keeps only the distinct states,
+runs eps and then e (as often as eps says) as batches over them, and the
+recursions of different data meet: many reach the same state (k, values)
 after k steps.  The check keeps one dict of tails, (k, values) -> (c_{k+1},
 ..., c_N) for k >= 1, for its whole search, so each tail is computed once;
-the dict is local to the check and freed when it returns.  cone_points walks
-the coordinates depth-first and drops a prefix as soon as some row cannot
-reach >= 0 even with the most the remaining coordinates can add, instead of
-filtering all (box + 1)^N points.
+the dict is local to the check and freed when it returns.  The string
+operator reads per-word coefficient rows of the nu_j.  Lusztig and string
+data are plain value tuples inside the check; LusztigDatum and StringDatum
+are built only by the public functions that take or return them.
+cone_points walks the coordinates depth-first and drops a prefix as soon as
+some row cannot reach >= 0 even with the most the remaining coordinates can
+add, instead of filtering all (box + 1)^N points.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, ge, mul, neg, sub
 
-from .crossings import crystal_op, dual_crystal_op, reineke_vectors
+from .crossings import batch_op, reineke_vectors
 from .lusztig import LusztigDatum
 from .tiling import build_tiling
 from .words import cartan_pairing, convex_order, is_reduced_word, rank_of_word
@@ -112,39 +121,60 @@ def string_datum(x: LusztigDatum) -> StringDatum:
     >>> string_datum(LusztigDatum((1, 2, 1), (0, 0, 1))).values
     (0, 1, 0)
     """
-    return StringDatum(x.word, _string_values(x, {}))
+    (values,) = _string_batch(x.word, [x.values], {})
+    return StringDatum(x.word, values)
 
 
-def _string_values(x: LusztigDatum, tails: dict) -> tuple[int, ...]:
-    """The string values of x, sharing tails with earlier calls on x's word.
+def _string_batch(word: tuple[int, ...], values: list, tails: dict) -> list[tuple[int, ...]]:
+    """The string values of each value tuple in values, by one recursion for
+    all of them, sharing tails with earlier calls on the same word.
 
-    tails maps (k, values) for k >= 1, the state after the first k steps, to
-    the rest (c_{k+1}, ..., c_N) of the string datum; the caller owns it and
-    keeps it to one word.  Position 0 is not memoised: most distinct states
-    sit there, so a memo of them would hold the most memory.  The residue
-    check runs on every path that reaches the end, so a memo hit skips no
-    check.
+    Step k runs eps and then e, as many times as eps says, on the distinct
+    states left at k, each as one batch_op call.  tails maps (k, state) for
+    k >= 1, the state after the first k steps, to the rest (c_{k+1}, ...,
+    c_N) of the string datum; the caller owns it and keeps it to one word.
+    States found there leave the recursion.  Position 0 is not memoised:
+    most distinct states sit there, so a memo of them would hold the most
+    memory.  The residue check runs on every state that reaches the end, so
+    a memo hit skips no check.
     """
-    cur, head, keys = x, [], []
-    tail = ()
-    for k, a in enumerate(x.word):
+    levels = []  # per step: (computed states, their c, their next states, memo hits)
+    states = list(dict.fromkeys(values))
+    for k, a in enumerate(word):
+        known = {}
         if k:
-            key = (k, cur.values)
-            if key in tails:
-                tail = tails[key]
-                break
-            keys.append(key)
-        c = crystal_op("eps", a, cur)
-        for _ in range(c):
-            cur = crystal_op("e", a, cur)
-        head.append(c)
-    else:
-        if any(cur.values):
-            raise AssertionError(f"string recursion left a residue at {x}")
-    for key, c in zip(reversed(keys), reversed(head)):
-        tail = (c,) + tail
-        tails[key] = tail
-    return tuple(head[:1]) + tail
+            todo = []
+            for state in states:
+                tail = tails.get((k, state))
+                if tail is None:
+                    todo.append(state)
+                else:
+                    known[state] = tail
+            states = todo
+        cs = batch_op("eps", a, word, states)
+        # by c, descending: the states that take a j-th e form a prefix
+        ranked = sorted(zip(cs, states), reverse=True)
+        cs = [c for c, _ in ranked]
+        states = [state for _, state in ranked]
+        cur = list(states)
+        for j in range(1, max(cs, default=0) + 1):
+            live = bisect_right(cs, -j, key=neg)
+            cur[:live] = batch_op("e", a, word, cur[:live])
+        levels.append((states, cs, cur, known))
+        states = list(dict.fromkeys(cur))
+    for state in states:
+        if any(state):
+            raise AssertionError(f"string recursion left a residue {state} on {word}")
+    after = dict.fromkeys(states, ())
+    for k in reversed(range(len(word))):
+        states, cs, cur, known = levels[k]
+        for state, c, nxt in zip(states, cs, cur):
+            tail = (c,) + after[nxt]
+            known[state] = tail
+            if k:
+                tails[k, state] = tail
+        after = known
+    return [after[v] for v in values]
 
 
 def string_op_f(a: int, s: StringDatum) -> StringDatum:
@@ -155,21 +185,29 @@ def string_op_f(a: int, s: StringDatum) -> StringDatum:
     >>> string_op_f(1, StringDatum((1, 2, 1), (0, 1, 0))).values
     (0, 1, 1)
     """
-    word, vals = s.word, s.values
-    n_pos = len(word)
-    best = None
-    best_j = None
-    for j in range(n_pos):
-        if word[j] != a:
-            continue
-        nu = vals[j] + sum(
-            cartan_pairing(word[j], word[t]) * vals[t] for t in range(j + 1, n_pos)
-        )
-        if best is None or nu > best:
-            best, best_j = nu, j
-    if best_j is None:
+    return StringDatum(s.word, _string_op(s.word, a, s.values))
+
+
+def _string_op(word: tuple[int, ...], a: int, vals: tuple[int, ...]) -> tuple[int, ...]:
+    """string_op_f on the values alone."""
+    rows = _nu_rows(word).get(a)
+    if rows is None:
         raise ValueError(f"letter {a} does not occur in the word")
-    return StringDatum(word, tuple(v + (j == best_j) for j, v in enumerate(vals)))
+    nus = [sum(map(mul, coeffs, vals)) for _, coeffs in rows]
+    j = rows[nus.index(max(nus))][0]
+    return vals[:j] + (vals[j] + 1,) + vals[j + 1 :]
+
+
+@lru_cache(maxsize=1024)
+def _nu_rows(word: tuple[int, ...]) -> dict[int, tuple]:
+    """Per letter a, the positions j with i_j = a in ascending order, each
+    with the coefficients of nu_j: 1 at j, <h_a, alpha_{i_t}> at t > j.
+    Bounded like string_cone."""
+    rows: dict[int, list] = {}
+    for j, a in enumerate(word):
+        coeffs = [0] * j + [1] + [cartan_pairing(a, b) for b in word[j + 1 :]]
+        rows.setdefault(a, []).append((j, tuple(coeffs)))
+    return {a: tuple(r) for a, r in rows.items()}
 
 
 @lru_cache(maxsize=1024)
@@ -207,24 +245,27 @@ def cone_points(cone: Cone, box: int) -> set[tuple[int, ...]]:
         raise ValueError(f"box must be nonnegative, got {box}")
     dim = len(cone.coords)
     cols = [tuple(row[k] for row in cone.rows) for k in range(dim)]
-    # reach[k][r]: the most that coordinates k, ..., dim - 1 can add to row r
-    reach = [(0,) * len(cone.rows)]
-    for col in reversed(cols):
-        reach.append(tuple(r + box * max(0, c) for r, c in zip(reach[-1], col)))
-    reach.reverse()
+    # steps[k][v]: what coordinate k = v adds to each row
+    steps = [[tuple(v * c for c in col) for v in range(box + 1)] for col in cols]
+    # floor[k][r]: the least row r may hold after coordinate k, since
+    # coordinates k + 1, ..., dim - 1 add at most box * max(0, c) to it
+    floor = [(0,) * len(cone.rows)]
+    for col in reversed(cols[1:]):
+        floor.append(tuple(f - box * max(0, c) for f, c in zip(floor[-1], col)))
+    floor.reverse()
     points = set()
 
     def walk(k, prefix, sums):
         if k == dim:
             points.add(prefix)
             return
-        col, rest = cols[k], reach[k + 1]
-        for v in range(box + 1):
-            new = [s + v * c for s, c in zip(sums, col)]
-            if all(s + r >= 0 for s, r in zip(new, rest)):
+        least = floor[k]
+        for v, step in enumerate(steps[k]):
+            new = tuple(map(add, sums, step))
+            if all(map(ge, new, least)):
                 walk(k + 1, prefix + (v,), new)
 
-    walk(0, (), [0] * len(cone.rows))
+    walk(0, (), (0,) * len(cone.rows))
     return points
 
 
@@ -249,24 +290,28 @@ def polar_duality_check(word, box: int = 4, depth: int | None = None) -> dict:
     failures = []
 
     tails: dict = {}
-    zero = LusztigDatum(word, (0,) * len(word))
-    s_zero = _string_values(zero, tails)
+    zero = (0,) * len(word)
+    (s_zero,) = _string_batch(word, [zero], tails)
     reached = {s_zero}
     frontier = [(zero, s_zero)]
+    letters = range(1, n)
     layer = 0
     while frontier and (depth is None or layer < depth):
         layer += 1
+        data = [y for y, _ in frontier]
+        images = [batch_op("f", a, word, data, True) for a in letters]
+        flat = [z for zs in images for z in zs]
+        strs = _string_batch(word, flat, tails)
+        per_letter = [strs[i * len(data) : (i + 1) * len(data)] for i in range(len(images))]
         nxt = []
-        for y, s in frontier:
-            sd = StringDatum(word, s)
-            for a in range(1, n):
-                z = dual_crystal_op("f", a, y)
-                sz = _string_values(z, tails)
-                step = tuple(u - v for u, v in zip(sz, s))
-                unit = [k for k, d in enumerate(step) if d != 0]
+        for k, (_, s) in enumerate(frontier):
+            for a, zs, szs in zip(letters, images, per_letter):
+                z, sz = zs[k], szs[k]
+                step = tuple(map(sub, sz, s))
+                unit = [i for i, d in enumerate(step) if d != 0]
                 if not (len(unit) == 1 and step[unit[0]] == 1 and word[unit[0]] == a):
                     failures.append(("step", a, s, sz))
-                if string_op_f(a, sd).values != sz:
+                if _string_op(word, a, s) != sz:
                     failures.append(("string-op", a, s, sz))
                 if max(sz) > box:
                     continue

@@ -26,6 +26,7 @@ KEPT_API = {
     "lusztig.weight": "the weight of a Lusztig datum over the simple roots",
     "potentials.tropical_cone": "the min-plus shadow of a positive Laurent polynomial",
     "potentials.eval_cluster_mutation": "the benchmark's potentials workload calls it",
+    "strings.string_op_f": "the string operator on StringDatum; polar_duality_check runs its body",
 }
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -104,6 +105,25 @@ def test_cone_polar_check(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["ok"] and doc["reached"] == doc["cone_points"]
+
+
+def test_cone_box_budget_rejects_fast_and_keeps_the_duality_boxes():
+    """A huge --box is refused within a second (the bad-argument probe runs
+    it end to end); n = 5 at box 3, which the duality suite runs, and the
+    slowest accepted boxes of n = 2, 3 and 7 pass."""
+    parser = cli._build_parser()
+    start = time.perf_counter()
+    args = parser.parse_args(["cone", "--polar-check", "--word", "2,1,2", "--box", "1" + "0" * 20])
+    assert "too large" in cli._usage_problem(args)
+    assert time.perf_counter() - start < 1
+    for word, box in [
+        ("1,2,1,3,2,1,4,3,2,1", 3),
+        ("1", 2047),
+        ("2,1,2", 44),
+        ("1,2,1,3,2,1,4,3,2,1,5,4,3,2,1,6,5,4,3,2,1", 1),
+    ]:
+        args = parser.parse_args(["cone", "--polar-check", "--word", word, "--box", str(box)])
+        assert cli._usage_problem(args) is None, (word, box)
 
 
 def test_potential_outputs(capsys):
@@ -294,6 +314,10 @@ def test_unknown_flag_exit_2():
         "render --word 1,2,1 --svg-out TMP/missing/out.svg",
         "render --word 1,2,1 --svg-out TMP",
         "cone --polar-check --word 1,2,1 --box -1",
+        "cone --polar-check --word 2,1,2 --box 100000000000000000000",
+        "cone --polar-check --word 1,2,1,3,2,1,4,3,2,1 --box 4",
+        "cone --polar-check --word 1 --box 2048",
+        "cone --polar-check --word 1,2,1,3,2,1,4,3,2,1,5,4,3,2,1,6,5,4,3,2,1,7,6,5,4,3,2,1 --box 0",
         'bz --apply-f --n 3 --a 1 --values {"1":-1,"1,3":2}',
         'bz --apply-f --n 3 --a 1 --values {"7":5}',
         "bz --apply-f --n 40 --a 1 --values {}",

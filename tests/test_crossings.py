@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import crystaltiles
 from crystaltiles import crossings, verify
 from crystaltiles.crossings import (
+    batch_op,
     crossing_table,
     crystal_op,
     dual_crystal_op,
@@ -223,13 +224,110 @@ def test_mirror_failures_report_a_lost_crossing(monkeypatch):
 def test_operators_build_only_their_own_tiling():
     """The operators on both sides of one datum build T(w) and no other tiling."""
     build_tiling.cache_clear()
-    crossings.crossing_table.cache_clear()
+    crossings._crossing_table.cache_clear()
+    crossings._view.cache_clear()
     x = LusztigDatum((1, 2, 1, 3, 2, 1, 4, 3, 2, 1), (1, 0, 2, 0, 1, 3, 0, 1, 2, 0))
     for a in range(1, 5):
         for kind in ("f", "e", "eps"):
             crystal_op(kind, a, x)
             dual_crystal_op(kind, a, x)
     assert build_tiling.cache_info().misses == 1
+
+
+def test_crossing_table_keys_dual_as_a_positional_bool():
+    tiling = build_tiling((1, 2, 1, 3, 2, 1))
+    crossings._crossing_table.cache_clear()
+    tables = [crossing_table(tiling, 1), crossing_table(tiling, 1, False)]
+    tables.append(crossing_table(tiling, 1, dual=False))
+    assert tables[0] is tables[1] is tables[2]
+    info = crossings._crossing_table.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def _plain(res):
+    return getattr(res, "values", res)
+
+
+def test_batch_matches_the_scalar_operators():
+    """batch_op against crystal_op and dual_crystal_op, f, e and eps, on all
+    data with entries <= 2 of every word at n <= 4, one batch per (word, a),
+    and on sampled batches of n = 5 and 6 data."""
+    cases = [
+        (word, list(product(range(3), repeat=len(word))))
+        for n in (2, 3, 4)
+        for word in enumerate_reduced_words(n)
+    ]
+    rng = random.Random("batch-kernel")
+    for n, words, size in ((5, 30, 40), (6, 8, 20)):
+        for _ in range(words):
+            word = weak_order_word(n, rng)
+            cases.append((word, [tuple(rng.randint(0, 3) for _ in word) for _ in range(size)]))
+    for word, values in cases:
+        data = [LusztigDatum(word, v) for v in values]
+        for a in range(1, data[0].n):
+            for dual, op in ((False, crystal_op), (True, dual_crystal_op)):
+                for kind in ("f", "e", "eps"):
+                    want = [_plain(op(kind, a, x)) for x in data]
+                    assert batch_op(kind, a, word, values, dual) == want, (word, a, dual, kind)
+
+
+def _tampered_views_raise() -> list:
+    """The (tamper, operator path) pairs that fail to raise AssertionError:
+    a view with no Reineke row, and a view whose two highest rows are made
+    incomparable, on data where every row is a maximizer."""
+    word, a = (1, 2, 1, 3, 2, 1), 2
+    compile_view = crossings._view
+    real = compile_view(word, a, False)
+    top, second = len(real.up) - 1, len(real.up) - 2
+    up, down = list(real.up), list(real.down)
+    down[top] &= ~(1 << second)
+    up[second] &= ~(1 << top)
+    tampers = [
+        ("no Reineke row", real._replace(reineke=0), ("eps", "f"), "Reineke"),
+        ("incomparable tops", real._replace(up=tuple(up), down=tuple(down)), ("f",), "unique"),
+    ]
+    zero = (0,) * len(word)
+    missed = []
+    for name, view, kinds, message in tampers:
+        crossings._view = lambda *key, view=view: view
+        try:
+            for kind in kinds:
+                paths = {
+                    "scalar": lambda: crystal_op(kind, a, LusztigDatum(word, zero)),
+                    "batch": lambda: batch_op(kind, a, word, [(1,) * len(word), zero]),
+                }
+                for path, call in paths.items():
+                    try:
+                        call()
+                    except AssertionError as exc:
+                        if message in str(exc):
+                            continue
+                    missed.append((name, kind, path))
+        finally:
+            crossings._view = compile_view
+    return missed
+
+
+def test_tampered_views_raise():
+    assert _tampered_views_raise() == []
+
+
+def test_tampered_views_raise_under_python_O():
+    tests = Path(__file__).resolve().parent
+    code = (
+        "import sys\n"
+        "from test_crossings import _tampered_views_raise\n"
+        "sys.exit(0 if sys.flags.optimize and _tampered_views_raise() == [] else 1)\n"
+    )
+    src = str(Path(crystaltiles.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(tests)])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _membership_by_eps_star(x, lam):

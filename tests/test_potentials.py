@@ -183,6 +183,21 @@ def test_cone_correspondence_n3():
         assert rep["lattice_points"] == 7 ** 3
 
 
+def test_box_points_draw_the_randint_values():
+    """The sampled box points are the values of rng.randint(-box, box), and
+    the draws leave the generator in the same state, so seeded checks and
+    their digests do not move."""
+    for seed in (0, 1, 3, 7919, "potentials"):
+        for box in (1, 2, 3, 5):
+            for dim in (3, 6, 10):
+                cap = min(50, (2 * box + 1) ** dim - 1)
+                ours, theirs = random.Random(seed), random.Random(seed)
+                got = list(potentials._box_points(dim, box, cap, ours))
+                want = [tuple(theirs.randint(-box, box) for _ in range(dim)) for _ in range(cap)]
+                assert got == want, (seed, box, dim)
+                assert ours.getstate() == theirs.getstate()
+
+
 def _times(rows, matrix) -> set:
     """Integer row vectors times an integer matrix, as a set of rows."""
     cols = list(zip(*matrix))

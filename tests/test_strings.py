@@ -22,8 +22,7 @@ from crystaltiles.lusztig import (
 )
 from crystaltiles.strings import (
     Cone,
-    StringDatum,
-    _string_values,
+    _string_batch,
     cone_points,
     polar_duality_check,
     string_cone,
@@ -163,17 +162,19 @@ def _reached_data(monkeypatch, word, box):
     """Every Lusztig datum whose string values polar_duality_check computes."""
     seen = []
 
-    def recording(x, tails):
-        seen.append(x)
-        return _string_values(x, tails)
+    def recording(word, values, tails):
+        seen.extend(LusztigDatum(word, v) for v in values)
+        return _string_batch(word, values, tails)
 
-    monkeypatch.setattr(strings, "_string_values", recording)
+    monkeypatch.setattr(strings, "_string_batch", recording)
     assert polar_duality_check(word, box=box)["ok"]
     monkeypatch.undo()
     return seen
 
 
 def test_shared_tails_match_the_unmemoised_recursion(monkeypatch):
+    """The reached data, shuffled and cut into batches of 1 to 8, through
+    one shared dict of tails."""
     rng = random.Random("shared-tails")
     cases = [(w, 3) for w in enumerate_reduced_words(3)]
     cases += [(w, 2) for w in rng.sample(enumerate_reduced_words(4), 10)]
@@ -181,21 +182,29 @@ def test_shared_tails_match_the_unmemoised_recursion(monkeypatch):
         data = _reached_data(monkeypatch, word, box)
         rng.shuffle(data)
         tails = {}
-        for x in data:
-            assert _string_values(x, tails) == _string_values_reference(x), x
+        while data:
+            size = rng.randint(1, 8)
+            batch, data = data[:size], data[size:]
+            got = _string_batch(word, [x.values for x in batch], tails)
+            for x, values in zip(batch, got):
+                assert values == _string_values_reference(x), x
         assert tails and all(k >= 1 for k, _ in tails)
 
 
 def _recursion_with_e_stuck():
     """A broken e that leaves its input unchanged must trip the residue check."""
-    real = strings.crystal_op
-    strings.crystal_op = lambda kind, a, x: x if kind == "e" else real(kind, a, x)
+    real = strings.batch_op
+
+    def e_stuck(kind, a, word, values, dual=False):
+        return list(values) if kind == "e" else real(kind, a, word, values, dual)
+
+    strings.batch_op = e_stuck
     try:
         string_datum(LusztigDatum((1, 2, 1), (0, 1, 0)))
     except AssertionError as exc:
         return "residue" in str(exc)
     finally:
-        strings.crystal_op = real
+        strings.batch_op = real
     return False
 
 
@@ -223,9 +232,7 @@ def test_residue_check_raises_under_python_O():
 
 @pytest.mark.parametrize("word", [(1, 2, 1), (2, 1, 3, 2, 1, 3)])
 def test_memo_skips_no_string_op_check(monkeypatch, word):
-    monkeypatch.setattr(
-        strings, "string_op_f", lambda a, s: StringDatum(s.word, [v + 1 for v in s.values])
-    )
+    monkeypatch.setattr(strings, "_string_op", lambda word, a, s: tuple(v + 1 for v in s))
     rep = polar_duality_check(word, box=2)
     n = rank_of_word(word)
     kinds = [f[0] for f in rep["failures"]]
@@ -234,13 +241,15 @@ def test_memo_skips_no_string_op_check(monkeypatch, word):
 
 @pytest.mark.parametrize("word", [(1, 2, 1), (2, 1, 3, 2, 1, 3)])
 def test_memo_skips_no_step_check(monkeypatch, word):
-    """dual_crystal_op applies the letter a + 1 where there is one: every such
-    step moves a coordinate of another letter."""
-    real = strings.dual_crystal_op
+    """The starred batch applies the letter a + 1 where there is one: every
+    such step moves a coordinate of another letter."""
+    real = strings.batch_op
     n = rank_of_word(word)
-    monkeypatch.setattr(
-        strings, "dual_crystal_op", lambda kind, a, x: real(kind, min(a + 1, n - 1), x)
-    )
+
+    def shifted(kind, a, word, values, dual=False):
+        return real(kind, min(a + 1, n - 1) if dual else a, word, values, dual)
+
+    monkeypatch.setattr(strings, "batch_op", shifted)
     rep = polar_duality_check(word, box=2)
     kinds = [f[0] for f in rep["failures"]]
     assert kinds.count("step") == rep["reached"] * (n - 2)
