@@ -16,9 +16,13 @@ subset S of [n] (z of the empty and full set read as 0) subject to
     fails on valid data, so only adjacent triples are constraints.
 
 The tropical Chamber Ansatz reads a Lusztig datum off a tiling vertex-wise,
-x_T = z_o + z_u - z_l - z_r over the four corners of T; inverting it tile
-system by tile system reconstructs z from x.  The crystal operator descends
-to the subset side as a 0/1 decrement rule.
+x_T = z_o + z_u - z_l - z_r over the four corners of T.  Inverting it on the
+anchor word's tiling gives z on that tiling's vertices; every other subset is
+reached by hexagon flips (words.braid_steps), each filling the new interior
+vertex by the tropical Pluecker relation above.  Both are compiled once per
+word into index arithmetic (_bz_program), with no transport: the transition
+maps stay an independent route.  The crystal operator descends to the
+subset side as a 0/1 decrement rule, compiled once per (n, a).
 """
 
 from __future__ import annotations
@@ -28,16 +32,18 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
 from .linalg import unimodular_inverse
-from .lusztig import LusztigDatum, transition
+from .lusztig import LusztigDatum
 from .tiling import build_tiling
 from .words import (
     _right_multiply,
+    braid_steps,
     cartan_pairing,
     compose,
     inverse,
     longest_element,
     num_positive_roots,
     permutation_of_word,
+    rank_of_word,
     reduced_word_of_permutation,
 )
 
@@ -78,6 +84,19 @@ class BZDatum:
         if set(mapping) != set(wanted):
             raise ValueError("values must cover exactly the nonempty proper subsets")
         object.__setattr__(self, "items", tuple((s, mapping[s]) for s in wanted))
+
+    @classmethod
+    def _from_values(cls, n: int, values) -> BZDatum:
+        """The datum with values listed in proper_subsets(n) order.
+
+        The keys are right by construction, so the sorting and validation of
+        BZDatum(...) are skipped; callers outside this module go through
+        BZDatum(...).
+        """
+        z = object.__new__(cls)
+        object.__setattr__(z, "n", n)
+        object.__setattr__(z, "items", tuple(zip(proper_subsets(n), values)))
+        return z
 
     @cached_property
     def _dict(self) -> dict[tuple[int, ...], int]:
@@ -172,15 +191,13 @@ def trop_chamber_ansatz(z: BZDatum, word) -> LusztigDatum:
     return LusztigDatum(word, tuple(vals))
 
 
-@lru_cache(maxsize=1024)
 def _vertex_solver(word: tuple[int, ...]):
     """Integer inverse of the tile system of a word's tiling.
 
     Unknowns are the vertex subsets that are not pinned to zero (the empty,
     full, and suffix sets); one equation per tile.  The matrix is checked
-    unimodular, so the inverse is integral and solutions are exact.  The
-    cache keeps 1024 solvers, like tiling.build_tiling, more than the 768
-    words of n = 5.
+    unimodular, so the inverse is integral and solutions are exact.  Not
+    cached: _bz_program calls it once per word and keeps only its nonzeros.
     """
     tiling = build_tiling(word)
     n = tiling.n
@@ -213,7 +230,9 @@ def find_word_with_vertex(subset: tuple[int, ...], n: int) -> tuple[int, ...]:
     Factor the longest element through the permutation u sending an initial
     block to the subset (ascending): l(u) + l(u^-1 w0) = l(w0) for every u,
     so the word is reduced, and its prefix u makes the subset a chamber set.
-    The cache holds at most 2^n - 2 words per rank n, so it stays unbounded.
+    _bz_program walks the flips toward these words once per anchor word, at
+    compile time; no evaluation calls it.  The cache holds at most 2^n - 2
+    words per rank n, so it stays unbounded.
     """
     subset = tuple(sorted(subset))
     if not subset or len(subset) >= n:
@@ -232,42 +251,115 @@ def find_word_with_vertex(subset: tuple[int, ...], n: int) -> tuple[int, ...]:
     return word
 
 
+@lru_cache(maxsize=8192)
+def _shared(entry: tuple) -> tuple:
+    """entry, or an equal tuple passed before: the programs of different words
+    share their equal rows and steps.  At n = 5 the 768 programs hold 7680
+    rows and 16207 steps, of which 760 and 113 are distinct."""
+    return entry
+
+
+@lru_cache(maxsize=1024)
+def _bz_program(word: tuple[int, ...]) -> tuple:
+    """bz_from_lusztig for one anchor word, compiled to index arithmetic.
+
+    Values live in one list: the subsets in proper_subsets(n) order, then
+    the empty and the full set, both 0.  The program is (rows, steps):
+
+      * rows: (slot, ((coeff, k), ...)) per anchor-tiling vertex that is not
+        pinned to zero, the nonzeros of its row of the tile-system inverse,
+        so z_slot = sum coeff * x_k;
+      * steps: (p, p2, q, q2, old, new, check) per hexagon flip, meaning
+        z_new = min(z_p + z_p2, z_q + z_q2) - z_old.  For the roots (s,t),
+        (s,u), (t,u) of the hexagon with base B, the interior vertices are
+        B+t and B+su, and (p, p2, q, q2) are B+s, B+tu, B+st, B+u: the
+        tropical Pluecker relation of validate_bz.  A flip whose new vertex
+        is already known is a check step, and a flip whose six slots repeat
+        an earlier step's is dropped.
+
+    The flips walk braid_steps from the word to find_word_with_vertex(S)
+    for each subset S still unknown; a walk ends on a tiling that has S as
+    a vertex, so every subset is filled.  The cache keeps 1024 programs,
+    like tiling.build_tiling, more than the 768 words of n = 5.
+    """
+    n = rank_of_word(word)
+    subsets = proper_subsets(n)
+    slot = {subset: k for k, subset in enumerate(subsets)}
+    slot[()] = len(subsets)
+    slot[tuple(range(1, n + 1))] = len(subsets) + 1
+    unknowns, inverse_rows = _vertex_solver(word)
+    rows = tuple(
+        _shared((slot[v], tuple((c, k) for k, c in enumerate(row) if c)))
+        for v, row in zip(unknowns, inverse_rows)
+    )
+    known = {len(subsets), len(subsets) + 1} | {k for k, _ in rows}
+    known |= {slot[tuple(range(k, n + 1))] for k in range(2, n + 1)}
+    steps, seen = [], set()
+    for subset in subsets:
+        if slot[subset] in known:
+            continue
+        target = find_word_with_vertex(subset, n)
+        for ((s, t), _, (_, u)), _, inner, ninner, _, _ in braid_steps(word, target):
+            base = set(inner) - {s, t, u}
+            inputs = tuple(
+                slot[tuple(sorted(base | extra))] for extra in ({s}, {t, u}, {s, t}, {u})
+            )
+            key = (*inputs, slot[inner], slot[ninner])
+            if key in seen:
+                continue
+            if not known.issuperset(key[:5]):
+                raise AssertionError(f"flip to {ninner} reads an unknown vertex")
+            seen.add(key)
+            steps.append(_shared((*key, key[5] in known)))
+            known.add(key[5])
+        if slot[subset] not in known:
+            raise AssertionError(f"the flips toward {subset} never reach it")
+    return rows, tuple(steps)
+
+
 def bz_from_lusztig(x: LusztigDatum) -> BZDatum:
     """Reconstruct the BZ datum of a crystal element from one Lusztig datum.
 
-    Solves the anchor word's tile system, then covers the remaining subsets
-    by transporting x to words whose tilings contain them; overlapping
-    solutions must agree and are asserted to.
+    Runs _bz_program(x.word): the anchor tiling's vertices from the sparse
+    inverse of its tile system, then the other subsets by tropical Pluecker
+    flips.  A check step, reaching an already known vertex a second way,
+    must agree; it raises (also under python -O) otherwise.  No transition
+    map is used.
 
     >>> bz_from_lusztig(LusztigDatum((1, 2, 1), (0, 0, 0)))
     BZDatum(n=3, nonzero={})
     """
+    rows, steps = _bz_program(x.word)
     n = x.n
-    values: dict[tuple[int, ...], int] = {}
+    subsets = proper_subsets(n)
+    xs = x.values
+    z = [0] * (len(subsets) + 2)
+    for k, terms in rows:
+        z[k] = sum([c * xs[j] for c, j in terms])
+    for p, p2, q, q2, old, new, check in steps:
+        val = min(z[p] + z[p2], z[q] + z[q2]) - z[old]
+        if not check:
+            z[new] = val
+        elif z[new] != val:
+            raise AssertionError(f"inconsistent value at {subsets[new]}: {z[new]} vs {val}")
+    return BZDatum._from_values(n, z[: len(subsets)])
 
-    def solve_into(word, datum):
-        unknowns, inv_rows = _vertex_solver(word)
-        sol = [
-            sum(c * v for c, v in zip(row, datum.values)) for row in inv_rows
-        ]
-        for subset, val in zip(unknowns, sol):
-            if subset in values:
-                if values[subset] != val:
-                    raise AssertionError(
-                        f"inconsistent value at {subset}: {values[subset]} vs {val}"
-                    )
-            else:
-                values[subset] = val
 
-    solve_into(x.word, x)
-    for subset in proper_subsets(n):
-        if subset in values:
-            continue
-        word = find_word_with_vertex(subset, n)
-        solve_into(word, transition(x, word))
-    for k in range(2, n + 1):
-        values[tuple(range(k, n + 1))] = 0
-    return BZDatum(n, values)
+@lru_cache(maxsize=None)
+def _f_program(n: int, a: int) -> tuple:
+    """bz_crystal_f's slots in proper_subsets(n) order: [a], sigma_a [a], and
+    (S, sigma_a S) for each S holding a but not a + 1.
+
+    The cache holds n - 1 programs per rank n, so it stays unbounded.
+    """
+    slot = {subset: k for k, subset in enumerate(proper_subsets(n))}
+    head = tuple(range(1, a + 1))
+    pairs = tuple(
+        (k, slot[_sigma_a(subset, a)])
+        for subset, k in slot.items()
+        if a in subset and a + 1 not in subset
+    )
+    return slot[head], slot[_sigma_a(head, a)], pairs
 
 
 def bz_crystal_f(a: int, z: BZDatum) -> BZDatum:
@@ -282,18 +374,18 @@ def bz_crystal_f(a: int, z: BZDatum) -> BZDatum:
     n = z.n
     if not 1 <= a <= n - 1:
         raise ValueError(f"a must lie in [n-1] = [{n - 1}]")
-    head = tuple(range(1, a + 1))
-    bound = z.value(head) - z.value(_sigma_a(head, a))
-    out = {}
-    for subset in proper_subsets(n):
-        val = z.value(subset)
-        if a in subset and a + 1 not in subset:
-            diff = val - z.value(_sigma_a(subset, a))
-            if diff > bound:
-                raise AssertionError(f"upper bound violated at {subset}: {diff} > {bound}")
-            dec = 1 if diff >= bound else 0
-            if dec != max(0, diff - bound + 1):
-                raise AssertionError("decrement forms disagree")
-            val -= dec
-        out[subset] = val
-    return BZDatum(n, out)
+    head, sigma_head, pairs = _f_program(n, a)
+    vals = [v for _, v in z.items]
+    bound = vals[head] - vals[sigma_head]
+    for k, sigma_k in pairs:
+        # sigma_a S holds a + 1, so no pair writes a slot that another reads
+        diff = vals[k] - vals[sigma_k]
+        if diff > bound:
+            raise AssertionError(
+                f"upper bound violated at {proper_subsets(n)[k]}: {diff} > {bound}"
+            )
+        dec = 1 if diff >= bound else 0
+        if dec != max(0, diff - bound + 1):
+            raise AssertionError("decrement forms disagree")
+        vals[k] -= dec
+    return BZDatum._from_values(n, vals)

@@ -380,8 +380,12 @@ def _usage_problem(args) -> str | None:
             return f"--{flag} must lie in 1..{n - 1}"
     if getattr(args, "box", 0) < 0:
         return "--box must be nonnegative"
-    if cmd == "cone" and n > MAX_ENUM_RANK:
-        return f"cone --polar-check needs n <= {MAX_ENUM_RANK}"
+    crossing_route = cmd in ("crossings", "string", "cone", "potential") or (
+        cmd == "crystal" and not args.oracle
+    )
+    if crossing_route and n > MAX_ENUM_RANK:
+        route = "crystal without --oracle" if cmd == "crystal" else cmd
+        return f"{route} reads crossing tables, built only for n <= {MAX_ENUM_RANK}"
     if cmd == "cone":
         side, power = args.box + 1, len(word) + 1
         if side > POLAR_CHECK_BUDGET or side**power > POLAR_CHECK_BUDGET:

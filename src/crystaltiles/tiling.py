@@ -56,10 +56,15 @@ def edge_label(edge: tuple[Vertex, Vertex]) -> int:
 
 @dataclass(frozen=True)
 class Tile:
-    """The rhombus [s,t; S]: pair (s,t) with s < t, base set S disjoint from it."""
+    """The rhombus [s,t; S]: pair (s,t) with s < t, base set S disjoint from it.
+
+    Tiles key many dicts and sets, so the hash of (pair, base), the value the
+    generated dataclass hash would compute, is stored once at construction.
+    """
 
     pair: tuple[int, int]
     base: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s, t = self.pair
@@ -68,6 +73,10 @@ class Tile:
         if set(self.pair) & set(self.base):
             raise ValueError("tile base must avoid the pair")
         object.__setattr__(self, "base", _vertex(self.base))
+        object.__setattr__(self, "_hash", hash((self.pair, self.base)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def lower(self) -> Vertex:
@@ -165,6 +174,18 @@ class Tiling:
         return _edge(cyc[(k - 1) % m], cyc[k % m])
 
 
+@lru_cache(maxsize=4096)
+def _tile(pair: tuple[int, int], base: Vertex) -> Tile:
+    """The one Tile object for (pair, base) that tilings share.
+
+    Tiles are values, so tilings of different words share equal tiles, and
+    each tile's hash and corners are computed once.  A rank n has
+    C(n, 2) 2^(n-2) tiles, 1792 at n = 8, so 4096 entries keep every tile up
+    to n = 8; an evicted tile is rebuilt equal.
+    """
+    return Tile(pair, base)
+
+
 @lru_cache(maxsize=1024)
 def build_tiling(word: tuple[int, ...]) -> Tiling:
     """The tiling T_i of a reduced word i for w0.
@@ -175,7 +196,8 @@ def build_tiling(word: tuple[int, ...]) -> Tiling:
     The cache keeps 1024 tilings, more than the 768 words of n = 5, so a
     sweep over every n = 5 word (the lattice suite, with its star words)
     builds each tiling once.  An n = 6 tiling, with the properties that the
-    operators fill in, holds about 26 KB, so a full cache holds about 27 MB.
+    operators fill in, holds about 10 KB besides the tiles it shares with
+    other tilings (_tile), so a full cache holds about 10 MB.
     A rebuilt tiling equals the evicted one, so caches keyed by tilings hit.
 
     >>> [t.pair for t in build_tiling((2, 1, 2)).tiles]
@@ -190,7 +212,7 @@ def build_tiling(word: tuple[int, ...]) -> Tiling:
         w = prefixes[k]
         pair = tuple(sorted((w[a - 1], w[a])))
         base = _vertex(w[b] for b in range(a - 1))
-        tiles.append(Tile(pair, base))
+        tiles.append(_tile(pair, base))
     return Tiling(n, word, tuple(tiles))
 
 

@@ -23,6 +23,7 @@ PACKAGE = Path(crystaltiles.__file__).resolve().parent
 KEPT_API = {
     "bz.trop_chamber_ansatz": "the tropical Chamber Ansatz: Lusztig data read off BZ data",
     "lusztig.star_datum": "the Kashiwara involution on Lusztig data",
+    "lusztig.transition": "the transition map between words; the BZ route is checked against it",
     "lusztig.weight": "the weight of a Lusztig datum over the simple roots",
     "potentials.tropical_cone": "the min-plus shadow of a positive Laurent polynomial",
     "potentials.eval_cluster_mutation": "the benchmark's potentials workload calls it",

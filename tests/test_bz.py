@@ -1,8 +1,11 @@
 """Subset-indexed data: construction, validation, tropical transforms."""
 
 import os
+import random
 import subprocess
 import sys
+from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import crystaltiles
+from crystaltiles import bz, lusztig
 from crystaltiles.bz import (
     BZDatum,
     bz_crystal_f,
@@ -23,8 +27,67 @@ from crystaltiles.crossings import crystal_op
 from crystaltiles.lusztig import LusztigDatum, transition
 from crystaltiles.tiling import build_tiling
 from crystaltiles.words import enumerate_reduced_words, is_reduced_word
+from test_paths import weak_order_word
 
 WORDS4 = enumerate_reduced_words(4)
+
+
+def _small_data():
+    """Every datum with entries <= 2 on every word at n <= 4."""
+    for n in (2, 3, 4):
+        for word in enumerate_reduced_words(n):
+            for vals in product(range(3), repeat=len(word)):
+                yield LusztigDatum(word, vals)
+
+
+def _sampled_data(seed, per_rank=((5, 40, 5), (6, 12, 4), (7, 4, 3))):
+    """Seeded weak_order_word data at n = 5..7: (n, words, data per word)."""
+    rng = random.Random(seed)
+    for n, words, per_word in per_rank:
+        for _ in range(words):
+            word = weak_order_word(n, rng)
+            for _ in range(per_word):
+                yield LusztigDatum(word, [rng.randint(0, 3) for _ in word])
+
+
+_reference_solver = lru_cache(maxsize=None)(bz._vertex_solver)
+
+
+def _reference_bz(x):
+    """The transport-plus-solve reconstruction: solve the anchor's tile
+    system, then transport x to find_word_with_vertex(S) for every subset S
+    still missing and solve there; overlapping solutions must agree."""
+    values = {}
+
+    def solve_into(word, datum):
+        unknowns, inverse_rows = _reference_solver(word)
+        for subset, row in zip(unknowns, inverse_rows):
+            val = sum(c * v for c, v in zip(row, datum.values))
+            assert values.setdefault(subset, val) == val, subset
+
+    solve_into(x.word, x)
+    for subset in proper_subsets(x.n):
+        if subset not in values:
+            word = find_word_with_vertex(subset, x.n)
+            solve_into(word, transition(x, word))
+    for k in range(2, x.n + 1):
+        values[tuple(range(k, x.n + 1))] = 0
+    return BZDatum(x.n, values)
+
+
+def _reference_f(a, z):
+    """bz_crystal_f's rule read through BZDatum.value, subset by subset."""
+    head = tuple(range(1, a + 1))
+    bound = z.value(head) - z.value(bz._sigma_a(head, a))
+    out = {}
+    for subset in proper_subsets(z.n):
+        val = z.value(subset)
+        if a in subset and a + 1 not in subset:
+            diff = val - z.value(bz._sigma_a(subset, a))
+            assert diff <= bound
+            val -= 1 if diff == bound else 0
+        out[subset] = val
+    return BZDatum(z.n, out)
 
 
 def test_proper_subsets():
@@ -106,17 +169,72 @@ def test_bz_word_independent():
     assert bz_from_lusztig(x) == bz_from_lusztig(y)
 
 
-def test_cross_word_check_raises_under_python_O():
-    """Transported data off by one disagree with the anchor's solution, and
-    the check must raise even when python -O strips assert statements."""
+def test_flips_match_the_transport_reconstruction():
+    """The compiled Pluecker flips give the transport-plus-solve datum on
+    every n <= 4 datum with entries <= 2 and on sampled n = 5..7 data."""
+    cases = 0
+    for x in (*_small_data(), *_sampled_data("bz:reference")):
+        assert bz_from_lusztig(x) == _reference_bz(x), x
+        cases += 1
+    assert cases == 11721 + 200 + 48 + 12
+
+
+def test_chamber_ansatz_reads_every_word_off_the_datum():
+    """transition(x, j) is the tropical Chamber Ansatz of bz_from_lusztig(x)
+    at j, for sampled words j at n = 4..6, and every datum validates."""
+    rng = random.Random("bz:ansatz")
+    for n, words, per_word in ((4, 8, 4), (5, 8, 3), (6, 4, 2)):
+        for _ in range(words):
+            x = LusztigDatum(w := weak_order_word(n, rng), [rng.randint(0, 3) for _ in w])
+            z = bz_from_lusztig(x)
+            assert validate_bz(z)["ok"], x
+            for _ in range(per_word):
+                j = weak_order_word(n, rng)
+                assert trop_chamber_ansatz(z, j) == transition(x, j), (x, j)
+
+
+def test_compiled_f_matches_the_value_rule():
+    data = [*_small_data(), *_sampled_data("bz:f", ((5, 20, 3), (6, 6, 2), (7, 2, 2)))]
+    for x in data[::7]:
+        z = bz_from_lusztig(x)
+        for a in range(1, x.n):
+            assert bz_crystal_f(a, z) == _reference_f(a, z), (x, a)
+
+
+def test_from_lusztig_makes_no_transport_call(monkeypatch):
+    """Cold programs compile and run with the transport layer disabled."""
+
+    def refuse(*args):
+        raise RuntimeError("transport called")
+
+    monkeypatch.setattr(lusztig, "_transport", refuse)
+    bz._bz_program.cache_clear()
+    rng = random.Random("bz:no-transport")
+    for n in (3, 4, 5, 6, 8):
+        word = weak_order_word(n, rng)
+        z = bz_from_lusztig(LusztigDatum(word, [rng.randint(0, 3) for _ in word]))
+        assert len(z.items) == len(proper_subsets(n))
+    with pytest.raises(RuntimeError, match="transport called"):
+        transition(LusztigDatum((1, 2, 1), (0, 0, 0)), (2, 1, 2))
+
+
+def test_check_step_raises_under_python_O():
+    """A check step whose subtracted vertex is swapped for the empty set (a
+    0) disagrees with the value it re-derives, and bz_from_lusztig must
+    raise even when python -O strips assert statements."""
     code = (
         "import sys\n"
         "from crystaltiles import bz\n"
         "from crystaltiles.lusztig import LusztigDatum\n"
-        "real = bz.transition\n"
-        "bz.transition = lambda x, j: LusztigDatum(j, [v + 1 for v in real(x, j).values])\n"
+        "x = LusztigDatum((1, 3, 2, 1, 3, 2), (1, 0, 2, 0, 1, 3))\n"
+        "z = [v for _, v in bz.bz_from_lusztig(x).items]\n"
+        "rows, steps = bz._bz_program(x.word)\n"
+        "k = next(k for k, step in enumerate(steps) if step[-1] and z[step[4]])\n"
+        "p, p2, q, q2, old, new, check = steps[k]\n"
+        "bad = steps[:k] + ((p, p2, q, q2, len(z), new, check),) + steps[k + 1 :]\n"
+        "bz._bz_program = lambda word: (rows, bad)\n"
         "try:\n"
-        "    bz.bz_from_lusztig(LusztigDatum((1, 2, 1, 3, 2, 1), (1, 0, 2, 0, 1, 3)))\n"
+        "    bz.bz_from_lusztig(x)\n"
         "except AssertionError as exc:\n"
         "    sys.exit(0 if sys.flags.optimize and 'inconsistent' in str(exc) else 1)\n"
         "sys.exit(1)\n"

@@ -289,6 +289,10 @@ def test_unknown_flag_exit_2():
     assert exc.value.code == 2
 
 
+# an n = 8 word: past the rank that crossing tables are built for
+W8, D8 = "2,6,1,4,2,5,7,4,6,3,2,7,1,5,6,4,5,6,3,7,2,4,1,3,5,4,6,5", ",".join(["1"] * 28)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -325,6 +329,11 @@ def test_unknown_flag_exit_2():
         "verify --n 7",
         "words --n 77 --count",
         "words --n 100000 --count",
+        f"crossings --word {W8} --a 1",
+        f"string --word {W8} --datum {D8}",
+        f"crystal --op f --a 1 --word {W8} --datum {D8}",
+        f"string --word {W8} --cone",
+        f"potential --word {W8} --a 1 --r",
     ],
 )
 def test_bad_arguments_exit_2_without_traceback(argv, tmp_path):

@@ -1,16 +1,18 @@
 """Tilings: tiles, boundary, partitions, strips, hexagon flips."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
 from conftest import RUNNING_KAPPA_3, RUNNING_KAPPA_5, RUNNING_TILES
-from crystaltiles.bz import _vertex_solver
+from crystaltiles.bz import _bz_program
 from crystaltiles.crossings import crossing_table
 from crystaltiles.strings import string_cone
 from crystaltiles.tiling import (
     Tile,
+    _tile,
     build_tiling,
     closure_tiles,
     comb,
@@ -35,6 +37,32 @@ def test_tile_corners():
     assert t.left == (2, 3, 4)
     assert t.right == (2, 3, 5)
     assert set(t.vertices) == {(2, 3), (2, 3, 4), (2, 3, 5), (2, 3, 4, 5)}
+
+
+def test_tile_hash_is_stored_and_repr_unchanged():
+    """The stored hash is the one of (pair, base) that the generated dataclass
+    hash would give, so equal tiles hash equal and set order is unchanged;
+    it takes no part in equality or repr."""
+    t, u = Tile(pair=(4, 5), base=(3, 2)), Tile((4, 5), (2, 3))
+    assert t == u and t is not u
+    assert hash(t) == hash(u) == hash(((4, 5), (2, 3)))
+    assert len({t, u}) == 1 and {t: 1}[u] == 1
+    assert t != Tile((4, 5), (2, 6)) and t != Tile((3, 5), (2, 4))
+    assert repr(t) == "[4,5;{2,3}]"
+    assert [f.name for f in dataclasses.fields(Tile) if f.compare] == ["pair", "base"]
+
+
+def test_tilings_share_equal_tiles():
+    """Every n = 4 tiling takes its tiles from one pool: equal tiles of
+    different words are one object, and the pool is bounded."""
+    build_tiling.cache_clear()
+    _tile.cache_clear()
+    pool = {}
+    for word in enumerate_reduced_words(4):
+        for tile in build_tiling(word).tiles:
+            assert pool.setdefault(tile, tile) is tile
+    assert len(pool) == 6 * 2**2
+    assert _tile.cache_info().maxsize == 4096
 
 
 def test_boundary_cycle(running_tiling):
@@ -184,7 +212,7 @@ def test_comb(running_tiling):
 
 def test_per_word_caches_are_bounded():
     """1100 distinct n = 6 tilings leave at most 1024 in the cache; the string
-    cones and BZ vertex solvers, also keyed by word, share that bound."""
+    cones and BZ programs, also keyed by word, share that bound."""
     rng = random.Random("tiling-cache")
     words = set()
     while len(words) < 1100:
@@ -192,7 +220,7 @@ def test_per_word_caches_are_bounded():
     for word in sorted(words):
         build_tiling(word)
     assert build_tiling.cache_info().currsize <= 1024
-    assert string_cone.cache_info().maxsize == _vertex_solver.cache_info().maxsize == 1024
+    assert string_cone.cache_info().maxsize == _bz_program.cache_info().maxsize == 1024
 
 
 def test_render_svg_smoke(running_tiling):
