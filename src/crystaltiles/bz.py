@@ -16,8 +16,10 @@ subset S of [n] (z of the empty and full set read as 0) subject to
     fails on valid data, so only adjacent triples are constraints.
 
 The tropical Chamber Ansatz reads a Lusztig datum off a tiling vertex-wise,
-x_T = z_o + z_u - z_l - z_r over the four corners of T.  Inverting it on the
-anchor word's tiling gives z on that tiling's vertices; every other subset is
+x_T = z_o + z_u - z_l - z_r over the four corners of T.  Tile k of a reduced
+word retires its left corner w_{k-1}([i_k]) and brings in its right corner
+w_k([i_k]), so one backward sweep along the word, from the pinned right
+boundary, inverts it on the anchor word's tiling; every other subset is
 reached by hexagon flips (words.braid_steps), each filling the new interior
 vertex by the tropical Pluecker relation above.  Both are compiled once per
 word into index arithmetic (_bz_program), with no transport: the transition
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
-from .linalg import unimodular_inverse
 from .lusztig import LusztigDatum
 from .tiling import build_tiling
 from .words import (
@@ -191,38 +192,6 @@ def trop_chamber_ansatz(z: BZDatum, word) -> LusztigDatum:
     return LusztigDatum(word, tuple(vals))
 
 
-def _vertex_solver(word: tuple[int, ...]):
-    """Integer inverse of the tile system of a word's tiling.
-
-    Unknowns are the vertex subsets that are not pinned to zero (the empty,
-    full, and suffix sets); one equation per tile.  The matrix is checked
-    unimodular, so the inverse is integral and solutions are exact.  Not
-    cached: _bz_program calls it once per word and keeps only its nonzeros.
-    """
-    tiling = build_tiling(word)
-    n = tiling.n
-    fixed = {(), tuple(range(1, n + 1))}
-    fixed |= {tuple(range(k, n + 1)) for k in range(2, n + 1)}
-    unknowns = sorted(v for v in tiling.vertices if v not in fixed)
-    index = {v: i for i, v in enumerate(unknowns)}
-    rows = []
-    for tile in tiling.tiles:
-        s, t = tile.pair
-        base = set(tile.base)
-        row = [0] * len(unknowns)
-        for subset, coeff in (
-            (base | {s, t}, 1),
-            (base, 1),
-            (base | {s}, -1),
-            (base | {t}, -1),
-        ):
-            key = tuple(sorted(subset))
-            if key not in fixed:
-                row[index[key]] += coeff
-        rows.append(row)
-    return tuple(unknowns), unimodular_inverse(rows)
-
-
 @lru_cache(maxsize=None)
 def find_word_with_vertex(subset: tuple[int, ...], n: int) -> tuple[int, ...]:
     """A reduced word whose tiling has v_subset among its vertices.
@@ -254,8 +223,8 @@ def find_word_with_vertex(subset: tuple[int, ...], n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=8192)
 def _shared(entry: tuple) -> tuple:
     """entry, or an equal tuple passed before: the programs of different words
-    share their equal rows and steps.  At n = 5 the 768 programs hold 7680
-    rows and 16207 steps, of which 760 and 113 are distinct."""
+    share their equal sweep and flip steps.  At n = 5 the 768 programs hold
+    7680 sweep steps and 16207 flip steps, of which 200 and 113 are distinct."""
     return entry
 
 
@@ -264,11 +233,14 @@ def _bz_program(word: tuple[int, ...]) -> tuple:
     """bz_from_lusztig for one anchor word, compiled to index arithmetic.
 
     Values live in one list: the subsets in proper_subsets(n) order, then
-    the empty and the full set, both 0.  The program is (rows, steps):
+    the empty and the full set, both 0.  The program is (sweep, steps):
 
-      * rows: (slot, ((coeff, k), ...)) per anchor-tiling vertex that is not
-        pinned to zero, the nonzeros of its row of the tile-system inverse,
-        so z_slot = sum coeff * x_k;
+      * sweep: (left, upper, lower, right, k) per tile k of the anchor
+        tiling, last tile first, meaning z_left = z_upper + z_lower - z_right
+        - x_k.  Tile k's right corner w_k([i_k]) and its upper and lower
+        corners are chamber sets of w_k, so the sweep starts from the pinned
+        right boundary (the empty, full and suffix sets) and every step
+        fills the one corner w_{k-1}([i_k]) that the tile retires;
       * steps: (p, p2, q, q2, old, new, check) per hexagon flip, meaning
         z_new = min(z_p + z_p2, z_q + z_q2) - z_old.  For the roots (s,t),
         (s,u), (t,u) of the hexagon with base B, the interior vertices are
@@ -279,21 +251,25 @@ def _bz_program(word: tuple[int, ...]) -> tuple:
 
     The flips walk braid_steps from the word to find_word_with_vertex(S)
     for each subset S still unknown; a walk ends on a tiling that has S as
-    a vertex, so every subset is filled.  The cache keeps 1024 programs,
-    like tiling.build_tiling, more than the 768 words of n = 5.
+    a vertex, so every subset is filled.  A sweep step that reads an unknown
+    slot or writes a known one raises AssertionError (also under python -O).
+    The cache keeps 1024 programs, like tiling.build_tiling, more than the
+    768 words of n = 5.
     """
     n = rank_of_word(word)
     subsets = proper_subsets(n)
     slot = {subset: k for k, subset in enumerate(subsets)}
     slot[()] = len(subsets)
     slot[tuple(range(1, n + 1))] = len(subsets) + 1
-    unknowns, inverse_rows = _vertex_solver(word)
-    rows = tuple(
-        _shared((slot[v], tuple((c, k) for k, c in enumerate(row) if c)))
-        for v, row in zip(unknowns, inverse_rows)
-    )
-    known = {len(subsets), len(subsets) + 1} | {k for k, _ in rows}
+    known = {len(subsets), len(subsets) + 1}
     known |= {slot[tuple(range(k, n + 1))] for k in range(2, n + 1)}
+    sweep = []
+    for k, tile in reversed(list(enumerate(build_tiling(word).tiles))):
+        left, *reads = (slot[v] for v in (tile.left, tile.upper, tile.lower, tile.right))
+        if left in known or not known.issuperset(reads):
+            raise AssertionError(f"the sweep at {tile} writes a known or reads an unknown vertex")
+        known.add(left)
+        sweep.append(_shared((left, *reads, k)))
     steps, seen = [], set()
     for subset in subsets:
         if slot[subset] in known:
@@ -314,14 +290,14 @@ def _bz_program(word: tuple[int, ...]) -> tuple:
             known.add(key[5])
         if slot[subset] not in known:
             raise AssertionError(f"the flips toward {subset} never reach it")
-    return rows, tuple(steps)
+    return tuple(sweep), tuple(steps)
 
 
 def bz_from_lusztig(x: LusztigDatum) -> BZDatum:
     """Reconstruct the BZ datum of a crystal element from one Lusztig datum.
 
-    Runs _bz_program(x.word): the anchor tiling's vertices from the sparse
-    inverse of its tile system, then the other subsets by tropical Pluecker
+    Runs _bz_program(x.word): the anchor tiling's vertices by one backward
+    sweep along the word, then the other subsets by tropical Pluecker
     flips.  A check step, reaching an already known vertex a second way,
     must agree; it raises (also under python -O) otherwise.  No transition
     map is used.
@@ -329,13 +305,13 @@ def bz_from_lusztig(x: LusztigDatum) -> BZDatum:
     >>> bz_from_lusztig(LusztigDatum((1, 2, 1), (0, 0, 0)))
     BZDatum(n=3, nonzero={})
     """
-    rows, steps = _bz_program(x.word)
+    sweep, steps = _bz_program(x.word)
     n = x.n
     subsets = proper_subsets(n)
     xs = x.values
     z = [0] * (len(subsets) + 2)
-    for k, terms in rows:
-        z[k] = sum([c * xs[j] for c, j in terms])
+    for left, upper, lower, right, k in sweep:
+        z[left] = z[upper] + z[lower] - z[right] - xs[k]
     for p, p2, q, q2, old, new, check in steps:
         val = min(z[p] + z[p2], z[q] + z[q2]) - z[old]
         if not check:

@@ -16,7 +16,7 @@ from .bz import BZDatum, bz_crystal_f, bz_from_lusztig, proper_subsets, validate
 from .crossings import crossing_table, crystal_op, dual_crystal_op, reineke_vectors
 from .lusztig import LusztigDatum, oracle_op, oracle_star_op
 from .potentials import ghkk_restriction, neighbour_ansatz, reineke_poly
-from .strings import polar_duality_check, string_cone, string_datum
+from .strings import POLAR_CHECK_BUDGET, polar_duality_check, string_cone, string_datum
 from .tiling import build_tiling, comb, render_svg
 from .verify import SUITE_NAMES, run
 from .words import (
@@ -334,14 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     return parser
-
-
-# cone --polar-check meets each of the (box + 1)^N points of its box, and the
-# string recursion raises each one by e up to box times at its first letter,
-# so its work grows like (box + 1)^(N + 1).  The budget is that of n = 5 at
-# box 3; the slowest accepted inputs, n = 2 at box 2047 and n = 3 at box 44,
-# took 11 s and 1.7 s on a 2-core x86-64 box.
-POLAR_CHECK_BUDGET = 4**11
 
 
 def _usage_problem(args) -> str | None:

@@ -17,11 +17,14 @@ rational arithmetic at rational points, never tolerances.
 The hot loops run over Python integers: evaluation builds one Fraction per
 value, chamber minors come from a per-matrix flag-minor table, and the cone
 check tests sparse cone rows composed with the inverse maps once per word.
+Each tile of a word brings in one vertex, so both tile-vertex maps are
+triangular and their inverses come by substitution, one row at a time.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -29,7 +32,6 @@ from itertools import product
 from math import lcm
 
 from .crossings import reineke_vectors
-from .linalg import unimodular_inverse
 from .lusztig import _RATIONALS, _additive_flip, _multiplicative_flip, _transport
 from .strings import Cone, string_cone
 from .tiling import build_tiling
@@ -188,8 +190,8 @@ class MonomialMap:
         """poly (on dst) composed with this map: x^y becomes x^(y @ rows) on src."""
         if poly.coords != self.dst:
             raise ValueError("polynomial coordinates must be the target coordinates")
-        transpose = MonomialMap(self.dst, self.src, tuple(zip(*self.rows)))
-        return LaurentPolynomial(self.src, [(transpose.trop(y), c) for y, c in poly.terms])
+        moved = _through([y for y, _ in poly.terms], self)
+        return LaurentPolynomial(self.src, [(z, c) for z, (_, c) in zip(moved, poly.terms)])
 
     def trop(self, vec) -> tuple[int, ...]:
         """The underlying linear map on integer vectors (aligned with src)."""
@@ -222,11 +224,13 @@ class ExchangeQuiver:
             if src in self.frozen and dst in self.frozen:
                 raise ValueError("no arrows between frozen vertices")
 
+    @cached_property
+    def _multiplicity(self) -> Counter:
+        return Counter(self.arrows)
+
     def eps(self, v, k) -> int:
         """Signed arrow count: arrows v->k minus arrows k->v."""
-        plus = sum(1 for a in self.arrows if a == (v, k))
-        minus = sum(1 for a in self.arrows if a == (k, v))
-        return plus - minus
+        return self._multiplicity[(v, k)] - self._multiplicity[(k, v)]
 
 
 @dataclass(frozen=True)
@@ -500,7 +504,8 @@ def chamber_ansatz_dual(word) -> MonomialMap:
 
     The exponent of tile T in the v-component is -1 when v is the left or
     right corner of T, +1 when v is the upper or lower corner, else 0.  The
-    matrix is square and unimodular (checked), so the map is invertible.
+    matrix is square and triangular with unit pivots up to the order of its
+    rows and columns (checked by the inverse), so the map is invertible.
     """
     word = tuple(word)
     tiling = build_tiling(word)
@@ -546,8 +551,30 @@ def neighbour_ansatz(word) -> MonomialMap:
 
 @lru_cache(maxsize=_PER_WORD)
 def _unimodular_inverse(mm: MonomialMap) -> MonomialMap:
-    """The inverse monomial map, dst -> src; ValueError unless mm is unimodular."""
-    return MonomialMap(mm.dst, mm.src, unimodular_inverse(mm.rows))
+    """The inverse monomial map, dst -> src, by substitution: each step solves
+    a row with one unsolved entry, which must be +-1.  The tile-vertex maps
+    are triangular along the word; any other matrix raises ValueError."""
+    rows, size = mm.rows, len(mm.rows)
+    if len(mm.src) != size:
+        raise ValueError("matrix must be square")
+    unsolved = [{j: e for j, e in enumerate(row) if e} for row in rows]
+    inverse = [None] * size
+    for _ in range(size):
+        d = next((d for d, row in enumerate(unsolved) if row and len(row) == 1), None)
+        if d is None:
+            raise ValueError("no row has a single unsolved entry: not triangular")
+        ((j, e),) = unsolved[d].items()
+        if e not in (1, -1):
+            raise ValueError(f"pivot {e} is not a unit")
+        # x_j = e * (y_d - the solved terms of row d), since 1 / e = e
+        inverse[j] = [e * (i == d) for i in range(size)]
+        for i, c in enumerate(rows[d]):
+            if c and i != j:
+                inverse[j] = [o - e * c * v for o, v in zip(inverse[j], inverse[i])]
+        unsolved[d] = None
+        for row in filter(None, unsolved):
+            row.pop(j, None)
+    return MonomialMap(mm.dst, mm.src, inverse)
 
 
 def ghkk_restriction(word, a) -> LaurentPolynomial:

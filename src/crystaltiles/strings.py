@@ -51,7 +51,16 @@ __all__ = [
     "string_cone",
     "cone_points",
     "polar_duality_check",
+    "POLAR_CHECK_BUDGET",
 ]
+
+# polar_duality_check meets each of the (box + 1)^N points of its box, and the
+# string recursion raises each one by e up to box times at its first letter,
+# so its work grows like (box + 1)^(N + 1).  The budget is that of n = 5 at
+# box 3; the slowest inputs that `cone --polar-check` accepts, n = 2 at box
+# 2047 and n = 3 at box 44, took 11 s and 1.7 s on a 2-core x86-64 box.  The
+# verify duality suite shrinks its box to fit it.
+POLAR_CHECK_BUDGET = 4**11
 
 
 @dataclass(frozen=True)

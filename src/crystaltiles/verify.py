@@ -27,9 +27,9 @@ from .potentials import (
     ghkk_restriction,
     transform_check_rtrans,
 )
-from .strings import polar_duality_check
+from .strings import POLAR_CHECK_BUDGET, polar_duality_check
 from .tiling import build_tiling
-from .words import convex_order, enumerate_reduced_words, star_word
+from .words import convex_order, count_reduced_words, enumerate_reduced_words, star_word
 
 __all__ = [
     "SUITE_NAMES",
@@ -121,11 +121,15 @@ def _crossing(n, seed, rng):
 
 
 def _duality(n, seed, rng):
-    """String data from the starred operators against the cone lattice points."""
+    """String data from the starred operators against the cone lattice points,
+    at box 3 or the largest box with (box + 1)^(N + 1) <= POLAR_CHECK_BUDGET."""
+    box = 3
+    while box and (box + 1) ** (n * (n - 1) // 2 + 1) > POLAR_CHECK_BUDGET:
+        box -= 1
     bad = []
     cases = 0
     for w in _pick_words(n, 6, rng):
-        rep = polar_duality_check(w, box=3)
+        rep = polar_duality_check(w, box=box)
         cases += rep["reached"]
         if not rep["ok"]:
             bad.append({"word": list(w), "failures": len(rep["failures"])})
@@ -218,11 +222,13 @@ def _word_lattice_failures(word):
 def _lattice(n, seed, rng):
     """Order structure of the crossings and highest-weight crystal sizes.
 
-    A word's mirror check reads the primal tables of its star word, so a
-    word later in the enumeration than its star word is checked right after
-    it, while those tables are cached; witnesses still come in word order.
+    Past n = 5 the words are a seeded sample, as many as n = 5 has.  A
+    word's mirror check reads the primal tables of its star word, so a word
+    later than its star word is checked right after it, while those tables
+    are cached; witnesses still come in word order.
     """
-    words = enumerate_reduced_words(n)
+    words = _pick_words(n, count_reduced_words(5), rng)
+    picked = set(words)
     weights = list(product(range(2), repeat=n - 1))
     bad = []
     ahead = {}
@@ -231,7 +237,7 @@ def _lattice(n, seed, rng):
         if fails is None:
             fails = _word_lattice_failures(w)
             star = star_word(w)
-            if star > w:
+            if star > w and star in picked:
                 ahead[star] = _word_lattice_failures(star)
         bad.extend({"word": list(w), "where": f} for f in fails)
     for lam in weights:

@@ -9,6 +9,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from crystaltiles.crossings import crystal_op
 from crystaltiles.lusztig import LusztigDatum, transition
 from crystaltiles.tiling import build_tiling
 from crystaltiles.words import enumerate_reduced_words, is_reduced_word
+from test_linalg import _tile_system
 from test_paths import weak_order_word
 
 WORDS4 = enumerate_reduced_words(4)
@@ -50,12 +52,17 @@ def _sampled_data(seed, per_rank=((5, 40, 5), (6, 12, 4), (7, 4, 3))):
                 yield LusztigDatum(word, [rng.randint(0, 3) for _ in word])
 
 
-_reference_solver = lru_cache(maxsize=None)(bz._vertex_solver)
+@lru_cache(maxsize=None)
+def _reference_solver(word):
+    """The unpinned vertices of a word's tiling and sympy's inverse of its tile system."""
+    unknowns, rows = _tile_system(word)
+    inverse = sympy.Matrix(rows).inv()
+    return unknowns, [[int(e) for e in inverse.row(i)] for i in range(len(unknowns))]
 
 
 def _reference_bz(x):
     """The transport-plus-solve reconstruction: solve the anchor's tile
-    system, then transport x to find_word_with_vertex(S) for every subset S
+    system with sympy, then transport x to find_word_with_vertex(S) for every subset S
     still missing and solve there; overlapping solutions must agree."""
     values = {}
 
@@ -228,11 +235,11 @@ def test_check_step_raises_under_python_O():
         "from crystaltiles.lusztig import LusztigDatum\n"
         "x = LusztigDatum((1, 3, 2, 1, 3, 2), (1, 0, 2, 0, 1, 3))\n"
         "z = [v for _, v in bz.bz_from_lusztig(x).items]\n"
-        "rows, steps = bz._bz_program(x.word)\n"
+        "sweep, steps = bz._bz_program(x.word)\n"
         "k = next(k for k, step in enumerate(steps) if step[-1] and z[step[4]])\n"
         "p, p2, q, q2, old, new, check = steps[k]\n"
         "bad = steps[:k] + ((p, p2, q, q2, len(z), new, check),) + steps[k + 1 :]\n"
-        "bz._bz_program = lambda word: (rows, bad)\n"
+        "bz._bz_program = lambda word: (sweep, bad)\n"
         "try:\n"
         "    bz.bz_from_lusztig(x)\n"
         "except AssertionError as exc:\n"
@@ -267,6 +274,35 @@ def test_invalid_bz_data_raise_under_python_O():
         "ok = raises(lambda: trop_chamber_ansatz(tile, (1, 2, 1)), 'negative coordinate')\n"
         "ok = ok and raises(lambda: bz_crystal_f(1, bound), 'upper bound violated')\n"
         "sys.exit(0 if sys.flags.optimize and ok else 1)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(crystaltiles.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_sweep_raises_on_tiles_out_of_order_under_python_O():
+    """Fed the tiles of a word's tiling in reverse, the compiled sweep reads
+    a vertex it has not filled, and _bz_program must raise even when
+    python -O strips assert statements."""
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "from crystaltiles import bz\n"
+        "from crystaltiles.tiling import build_tiling\n"
+        "word = (1, 3, 2, 1, 3, 2)\n"
+        "tiling = build_tiling(word)\n"
+        "shuffled = replace(tiling, tiles=tiling.tiles[::-1])\n"
+        "bz.build_tiling = lambda w: shuffled\n"
+        "try:\n"
+        "    bz._bz_program(word)\n"
+        "except AssertionError as exc:\n"
+        "    sys.exit(0 if sys.flags.optimize and 'the sweep at' in str(exc) else 1)\n"
+        "sys.exit(1)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],

@@ -220,6 +220,17 @@ def test_verify_n4_golden(suite, mode, capsys):
     assert out.splitlines() == [VERIFY_N4[suite]]
 
 
+def test_verify_duality_n6(capsys):
+    """At n = 6 the duality suite runs at box 1, the largest box that fits
+    strings.POLAR_CHECK_BUDGET; at box 3 it ran past 300 s."""
+    code, out = run(capsys, ["verify", "--suite", "duality", "--n", "6"])
+    assert code == 0
+    assert out.splitlines() == [
+        '{"cases": 3540, "counterexamples": 0, "n": 6, "ok": true, "seed": 0,'
+        ' "suite": "duality", "witnesses": []}'
+    ]
+
+
 CROSSINGS_GOLDEN = {
     "crossings --word 1,2,3,1,2,1": (
         '{"a": null, "crossings": [{"dual": false, "reineke": true, "rvec": [1, 0, 0, 0, 0, '

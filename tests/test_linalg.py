@@ -1,4 +1,10 @@
-"""The exact integer-matrix kernels against sympy, and the dependency they replace."""
+"""The exact integer kernels against sympy, and the dependency they replace.
+
+The tile-vertex maps of a tiling are triangular along its word, so
+bz_from_lusztig fills the anchor vertices by one sweep and the potentials
+layer inverts chamber_ansatz_dual and neighbour_ansatz by substitution; both
+are checked here against sympy's inverses, and so are the flag minors.
+"""
 
 import os
 import random
@@ -12,16 +18,19 @@ import pytest
 import sympy
 
 import crystaltiles
-from crystaltiles.bz import _vertex_solver
-from crystaltiles.linalg import unimodular_inverse
+from crystaltiles.bz import bz_from_lusztig
+from crystaltiles.lusztig import LusztigDatum
 from crystaltiles.potentials import (
+    MonomialMap,
     UnitriangularMatrix,
+    _unimodular_inverse,
     chamber_ansatz_dual,
     chamber_minor,
     neighbour_ansatz,
 )
 from crystaltiles.tiling import build_tiling
 from crystaltiles.words import enumerate_reduced_words
+from test_paths import weak_order_word
 
 
 def _tile_system(word):
@@ -40,17 +49,34 @@ def _tile_system(word):
     return unknowns, rows
 
 
-@pytest.mark.parametrize("word", enumerate_reduced_words(4))
+def _inverse(rows):
+    """The inverse monomial map's rows by substitution."""
+    size = len(rows)
+    return _unimodular_inverse(MonomialMap(range(size), range(size), rows)).rows
+
+
+def _assert_inverses_match_sympy(word):
+    for mm in (chamber_ansatz_dual(word), neighbour_ansatz(word)):
+        assert sympy.Matrix(_unimodular_inverse(mm).rows) == sympy.Matrix(mm.rows).inv(), word
+
+
+@pytest.mark.parametrize("word", [w for n in (2, 3, 4) for w in enumerate_reduced_words(n)])
 def test_kernel_matches_sympy_on_s4_systems(word):
+    """Both substitution inverses, and the sweep of bz_from_lusztig on unit
+    data, which fills column k of the tile-system inverse, against sympy."""
+    _assert_inverses_match_sympy(word)
     unknowns, tiles = _tile_system(word)
-    chamber = [list(r) for r in chamber_ansatz_dual(word).rows]
-    neighbour = [list(r) for r in neighbour_ansatz(word).rows]
-    for rows in (tiles, chamber, neighbour):
-        m = sympy.Matrix(rows)
-        assert sympy.Matrix(unimodular_inverse(rows)) == m.inv()
-    solved_unknowns, inverse = _vertex_solver(word)
-    assert list(solved_unknowns) == unknowns
-    assert sympy.Matrix(inverse) == sympy.Matrix(tiles).inv()
+    inverse = sympy.Matrix(tiles).inv()
+    for k in range(len(word)):
+        z = bz_from_lusztig(LusztigDatum(word, [int(j == k) for j in range(len(word))]))
+        assert [z.value(v) for v in unknowns] == list(inverse.col(k)), (word, k)
+
+
+def test_substitution_inverses_match_sympy_on_sampled_words():
+    rng = random.Random("linalg:substitution")
+    for n, count in ((5, 20), (6, 10), (7, 5)):
+        for _ in range(count):
+            _assert_inverses_match_sympy(weak_order_word(n, rng))
 
 
 def _seeded_unitriangular(rng, n):
@@ -86,23 +112,31 @@ def test_chamber_minor_matches_sympy():
     assert vanishing > 1000
 
 
-def test_zero_pivot_needs_a_row_swap():
+def test_non_triangular_matrix_rejected():
+    """Unimodular, but no row has a single nonzero entry: substitution stops."""
     rows = [[0, 1, 2], [1, 0, 3], [4, -3, 7]]
     assert sympy.Matrix(rows).det() == -1
-    assert sympy.Matrix(unimodular_inverse(rows)) == sympy.Matrix(rows).inv()
+    with pytest.raises(ValueError, match="no row has a single unsolved entry"):
+        _inverse(rows)
+
+
+def test_pivot_of_two_rejected():
+    with pytest.raises(ValueError, match="pivot 2 is not a unit"):
+        _inverse([[1, 0], [1, 2]])
 
 
 @pytest.mark.parametrize(
     "rows, want", [([[1, 2], [2, 4]], 0), ([[2, 0], [0, 1]], 2), ([[1, 3], [1, 1]], -2)]
 )
 def test_non_unimodular_rejected(rows, want):
-    with pytest.raises(ValueError, match=rf"\(det {want}\)"):
-        unimodular_inverse(rows)
+    assert sympy.Matrix(rows).det() == want
+    with pytest.raises(ValueError):
+        _inverse(rows)
 
 
 def test_non_square_rejected():
-    with pytest.raises(ValueError):
-        unimodular_inverse([[1, 2]])
+    with pytest.raises(ValueError, match="square"):
+        _unimodular_inverse(MonomialMap((1, 2), (1,), [[1, 0]]))
 
 
 def test_cli_import_leaves_sympy_out():

@@ -39,6 +39,23 @@ def test_tile_corners():
     assert set(t.vertices) == {(2, 3), (2, 3, 4), (2, 3, 5), (2, 3, 4, 5)}
 
 
+def test_each_tile_brings_in_its_right_corner():
+    """Tile k has left corner w_{k-1}([i_k]) and right corner w_k([i_k]), and
+    no earlier tile has that right corner, at every word for n <= 5: the
+    premise of the sweep in bz._bz_program."""
+    for n in range(2, 6):
+        for word in enumerate_reduced_words(n):
+            tiles = build_tiling(word).tiles
+            w = list(range(1, n + 1))
+            seen = set()
+            for tile, a in zip(tiles, word):
+                assert tile.left == tuple(sorted(w[:a])), (word, tile)
+                w[a - 1], w[a] = w[a], w[a - 1]
+                assert tile.right == tuple(sorted(w[:a])), (word, tile)
+                assert tile.right not in seen, (word, tile)
+                seen.update(tile.vertices)
+
+
 def test_tile_hash_is_stored_and_repr_unchanged():
     """The stored hash is the one of (pair, base) that the generated dataclass
     hash would give, so equal tiles hash equal and set order is unchanged;
